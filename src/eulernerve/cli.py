@@ -245,6 +245,8 @@ def run_euler_number(args, report: Report, rng) -> None:
 def run_transgress(args, report: Report, rng) -> None:
     from .transgression import ContractionKind, truncated_cocycle_report
 
+    if args.radius >= np.pi:
+        raise DomainError(f"--radius {args.radius:g} is not below pi")
     res = truncated_cocycle_report(
         kind=ContractionKind.CONE,
         samples=args.samples,

@@ -270,10 +270,6 @@ def scale_form(c: float, omega: FormEvaluator) -> FormEvaluator:
     return FormEvaluator(omega.level, omega.degree, lambda p, v: c * omega.fn(p, v))
 
 
-def constant_form(level: int, value: float) -> FormEvaluator:
-    return FormEvaluator(level, 0, lambda p, v: value)
-
-
 class WordSumEvaluator:
     """Evaluator for a sum of WordForms sharing one degree on one level.
 

@@ -4,6 +4,10 @@ Group elements and algebra elements are plain float64 ndarrays.  Tangent
 vectors on a product G^r are kept in left trivialization throughout: a frame
 stores the algebra elements (xi_1, ..., xi_r) and the actual tangent vector
 at (h_1, ..., h_r) is (h_1 xi_1, ..., h_r xi_r).
+
+``exp_alg``, ``log_grp`` and ``skew_project`` take an (n, n) matrix or a
+stack of shape (..., n, n), and map a stack matrix by matrix; each result
+matrix is bit-identical to the call on that matrix alone.
 """
 
 from __future__ import annotations
@@ -30,7 +34,7 @@ def skew_project(m: np.ndarray) -> np.ndarray:
     """Project onto skew-symmetric matrices; the result satisfies s + s.T == 0
     exactly (entrywise IEEE negation)."""
     m = np.asarray(m, dtype=float)
-    return 0.5 * (m - m.T)
+    return 0.5 * (m - m.swapaxes(-1, -2))
 
 
 def require_skew(m: np.ndarray) -> np.ndarray:
@@ -74,18 +78,13 @@ def exp_alg(xi: np.ndarray) -> np.ndarray:
     return expm(np.asarray(xi, dtype=float))
 
 
-def rotation_angles(g: np.ndarray) -> np.ndarray:
-    """Absolute rotation angles of g in SO(n), i.e. |arg| of its eigenvalues."""
-    return np.abs(np.angle(np.linalg.eigvals(np.asarray(g, dtype=float))))
-
-
 def log_grp(g: np.ndarray, margin: float = LOG_ANGLE_MARGIN) -> np.ndarray:
     """Principal logarithm SO(n) -> so(n).
 
-    Requires every rotation angle to stay at least ``margin`` away from pi;
-    otherwise the principal branch is ill-conditioned and a DomainError is
-    raised.  Orthogonal matrices are normal, so the log is taken through a
-    (unitary) eigendecomposition.
+    Requires every rotation angle, of every matrix in a stack, to stay at
+    least ``margin`` away from pi; otherwise the principal branch is
+    ill-conditioned and a DomainError is raised.  Orthogonal matrices are
+    normal, so the log is taken through a (unitary) eigendecomposition.
     """
     g = np.asarray(g, dtype=float)
     lam, vec = np.linalg.eig(g)
@@ -96,7 +95,7 @@ def log_grp(g: np.ndarray, margin: float = LOG_ANGLE_MARGIN) -> np.ndarray:
             "outside the principal-logarithm domain"
         )
     w = np.log(lam)
-    xi = vec @ (w[:, None] * np.conj(vec.T))
+    xi = vec @ (w[..., :, None] * np.conj(vec.swapaxes(-1, -2)))
     return skew_project(np.real(xi))
 
 

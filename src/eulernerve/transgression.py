@@ -74,28 +74,33 @@ def contraction(
         raise ValueError(f"expected {l} group arguments, got {len(hs)}")
     if l == 0:
         raise ValueError("use identity for sigma_0; need n")
-    n = hs[0].shape[0]
-    return _contract(kind, t, list(hs), n)
+    return _contract(kind, t[None], np.stack(hs)[None])[0]
 
 
-def _contract(kind: ContractionKind, t: np.ndarray, hs: list[np.ndarray], n: int) -> np.ndarray:
-    l = len(hs)
-    if l == 0:
-        return np.eye(n)
+def _contract(kind: ContractionKind, t: np.ndarray, hs: np.ndarray) -> np.ndarray:
+    """sigma_l on a batch: t of shape (B, l+1) and hs of shape (B, l, n, n)
+    give (B, n, n).  Every matrix of the batch gets the same operations as a
+    batch of one, so a row's value does not depend on the other rows."""
+    batch, l, n = hs.shape[0], hs.shape[1], hs.shape[-1]
     if kind is ContractionKind.EXPLICIT:
         if l == 1:
-            return exp_alg(t[1] * log_grp(hs[0]))
+            return exp_alg(t[:, 1, None, None] * log_grp(hs[:, 0]))
         if l == 2:
-            return exp_alg((1.0 - t[0]) * log_grp(hs[0])) @ exp_alg(t[2] * log_grp(hs[1]))
+            first = exp_alg((1.0 - t[:, 0])[:, None, None] * log_grp(hs[:, 0]))
+            return first @ exp_alg(t[:, 2, None, None] * log_grp(hs[:, 1]))
         raise ValueError("the explicit variant is defined for l <= 2")
-    # CONE recursion
-    t0 = t[0]
-    rest = 1.0 - t0
-    if rest <= _APEX_EPS:
-        return np.eye(n)
-    inner = _contract(kind, t[1:] / rest, hs[1:], n)
-    u = hs[0] @ inner
-    return exp_alg(rest * log_grp(u))
+    # CONE recursion over the depth; rows at the apex keep the identity
+    out = np.broadcast_to(np.eye(n), (batch, n, n)).copy()
+    if l == 0:
+        return out
+    rest = 1.0 - t[:, 0]
+    live = rest > _APEX_EPS
+    if live.any():
+        rest = rest[live][:, None]
+        inner = _contract(kind, t[live, 1:] / rest, hs[live, 1:])
+        u = hs[live, 0] @ inner
+        out[live] = exp_alg(rest[:, None] * log_grp(u))
+    return out
 
 
 def level_map(
@@ -113,12 +118,10 @@ def level_map(
     return nerve_point(comps, n=hs[0].shape[0])
 
 
-def _trivialized_fd(base: NervePoint, plus: NervePoint, minus: NervePoint, h: float) -> TangentFrame:
-    comps = []
-    for b, pl, mi in zip(base.components, plus.components, minus.components):
-        diff = (pl - mi) / (2.0 * h)
-        comps.append(skew_project(b.T @ diff))
-    return tangent_frame(comps, n=base.n)
+def _trivialized_fd(base: np.ndarray, plus: np.ndarray, minus: np.ndarray, h: float) -> np.ndarray:
+    """Left-trivialized central difference on stacks of shape (..., n, n)."""
+    diff = (plus - minus) / (2.0 * h)
+    return skew_project(base.swapaxes(-1, -2) @ diff)
 
 
 def transgression_form(
@@ -134,7 +137,12 @@ def transgression_form(
     """beta_{m,q} = (-1)^m int_{Delta^q} f_{m,q}^* mu on U^{m+q-1}.
 
     Simplex-direction and U-direction tangents of the level map are pushed
-    through sigma by central finite differences and left-trivialized.
+    through sigma by central finite differences and left-trivialized.  One
+    evaluation contracts all quadrature nodes of the rule in one batched call
+    per perturbation direction (the base point, +-fd_step along each simplex
+    direction, +-fd_step along each frame), and sums mu over the nodes in the
+    rule's order.  The result equals the per-node evaluation of the level map
+    bit for bit.
     """
     if mu.level != m:
         raise ValueError(f"mu has level {mu.level}, expected {m}")
@@ -144,32 +152,50 @@ def transgression_form(
     level = m + q - 1
     rule = quadrature_rule(q, quad_order)
     sign = -1.0 if m % 2 else 1.0
+    nodes = rule.nodes
+    n_nodes = len(nodes)
+    # simplex directions d/dt_a, a = 1..q (t_0 compensates)
+    shifted = []
+    for a in range(1, q + 1):
+        step = np.zeros(q + 1)
+        step[[0, a]] = -fd_step, fd_step
+        shifted.append((nodes + step, nodes - step))
+
+    def contract_nodes(t: np.ndarray, hs: np.ndarray) -> np.ndarray:
+        # the last q arguments, repeated for every node
+        return _contract(kind, t, np.broadcast_to(hs[m - 1 :], (n_nodes, q) + hs.shape[1:]))
 
     def fn(p: NervePoint, frames: Sequence[TangentFrame]) -> float:
-        hs = list(p.components)
+        if p.level != level:
+            raise ValueError(f"expected {level} group arguments, got {p.level}")
+        hs = np.stack(p.components)
+        kept = hs[: m - 1]
+        base = contract_nodes(nodes, hs)
+        # per direction: tangents of the passed-through slots (the same at
+        # every node) and of the contracted slot (one per node)
+        still = _trivialized_fd(kept, kept, kept, fd_step)
+        directions = [
+            (still, _trivialized_fd(base, contract_nodes(tp, hs), contract_nodes(tm, hs), fd_step))
+            for tp, tm in shifted
+        ]
+        for v in frames:
+            xi = np.stack(v.components)
+            hp = hs @ exp_alg(fd_step * xi)
+            hm = hs @ exp_alg(-fd_step * xi)
+            directions.append((
+                _trivialized_fd(kept, hp[: m - 1], hm[: m - 1], fd_step),
+                _trivialized_fd(
+                    base, contract_nodes(nodes, hp), contract_nodes(nodes, hm), fd_step
+                ),
+            ))
         total = 0.0
-        for node, weight in zip(rule.nodes, rule.weights):
-            base = level_map(m, q, node, hs, kind)
-            tangents = []
-            # simplex directions d/dt_a, a = 1..q (t_0 compensates)
-            for a in range(1, q + 1):
-                tp = np.array(node)
-                tm = np.array(node)
-                tp[a] += fd_step
-                tp[0] -= fd_step
-                tm[a] -= fd_step
-                tm[0] += fd_step
-                plus = level_map(m, q, tp, hs, kind)
-                minus = level_map(m, q, tm, hs, kind)
-                tangents.append(_trivialized_fd(base, plus, minus, fd_step))
-            # U directions along the supplied frames
-            for v in frames:
-                hp = [hh @ exp_alg(fd_step * xi) for hh, xi in zip(hs, v.components)]
-                hm = [hh @ exp_alg(-fd_step * xi) for hh, xi in zip(hs, v.components)]
-                plus = level_map(m, q, node, hp, kind)
-                minus = level_map(m, q, node, hm, kind)
-                tangents.append(_trivialized_fd(base, plus, minus, fd_step))
-            total += weight * mu.fn(base, tuple(tangents))
+        for k, weight in enumerate(rule.weights):
+            point = nerve_point([*kept, base[k]], n=p.n)
+            tangents = tuple(
+                tangent_frame([*pushed, contracted[k]], n=p.n)
+                for pushed, contracted in directions
+            )
+            total += weight * mu.fn(point, tangents)
         return sign * scale * total
 
     return FormEvaluator(level, degree, fn)

@@ -70,6 +70,25 @@ def test_log_domain_error_near_pi():
         log_grp(g)
 
 
+def test_stacked_calls_equal_per_matrix_calls():
+    rng = np.random.default_rng(31)
+    g = np.stack([sample_near_identity(4, 2.0, rng) for _ in range(64)])
+    logs = log_grp(g)
+    assert np.array_equal(logs, np.stack([log_grp(x) for x in g]))
+    assert np.array_equal(exp_alg(logs), np.stack([exp_alg(x) for x in logs]))
+    m = rng.standard_normal((3, 5, 4, 4))
+    assert np.array_equal(
+        skew_project(m), np.stack([[skew_project(x) for x in row] for row in m])
+    )
+
+
+def test_log_domain_error_anywhere_in_stack(rng):
+    g = np.stack([sample_near_identity(2, 0.5, rng) for _ in range(5)])
+    g[3] = exp_alg((np.pi - 1e-9) * J)
+    with pytest.raises(DomainError, match="within 1e-06 of pi"):
+        log_grp(g)
+
+
 def test_log_result_is_exactly_skew(rng):
     xi = log_grp(sample_haar(4, rng))
     assert np.all(xi + xi.T == 0.0)

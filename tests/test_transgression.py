@@ -10,9 +10,13 @@ from eulernerve.matgroup import (
     nerve_point,
     random_frame,
     sample_near_identity,
+    skew_project,
+    tangent_frame,
 )
+from eulernerve.simplex import quadrature_rule
 from eulernerve.transgression import (
     ContractionKind,
+    _contract,
     contraction,
     level_map,
     local_cochain,
@@ -45,6 +49,19 @@ def test_cone_apex_is_identity(rng):
     h1, h2 = near(rng), near(rng)
     val = contraction(CONE, 2, [1.0, 0.0, 0.0], [h1, h2])
     assert np.array_equal(val, np.eye(4))
+
+
+def test_batched_cone_rows_match_single_rows(rng):
+    # rows at the apex, at the apex of an inner level, and inside the simplex
+    # share one batch; each row equals its batch-of-one value
+    hs = np.stack([[near(rng) for _ in range(3)] for _ in range(5)])
+    t = rng.dirichlet(np.ones(4), size=5)
+    t[1] = [1.0, 0.0, 0.0, 0.0]
+    t[3] = [0.25, 0.75, 0.0, 0.0]
+    out = _contract(CONE, t, hs)
+    for row in range(5):
+        assert np.array_equal(out[row], contraction(CONE, 3, t[row], list(hs[row])))
+    assert np.array_equal(out[1], np.eye(4))
 
 
 @pytest.mark.parametrize("l", [2, 3])
@@ -152,6 +169,64 @@ def test_beta_vanishes_on_identity_inputs(rng):
     assert val == 0.0
     b13 = transgression_form(comps[(1, 3)], 1, 3, quad_order=4)
     assert b13.fn(identity_point(4, 3), ()) == 0.0
+
+
+def per_node_transgression_form(mu, m, q, kind, quad_order, fd_step=1e-4):
+    """Reference: the level map and its central differences, node by node."""
+    rule = quadrature_rule(q, quad_order)
+    sign = -1.0 if m % 2 else 1.0
+
+    def fd(base, plus, minus):
+        comps = [
+            skew_project(b.T @ ((pl - mi) / (2.0 * fd_step)))
+            for b, pl, mi in zip(base.components, plus.components, minus.components)
+        ]
+        return tangent_frame(comps, n=base.n)
+
+    def fn(p, frames):
+        hs = list(p.components)
+        total = 0.0
+        for node, weight in zip(rule.nodes, rule.weights):
+            base = level_map(m, q, node, hs, kind)
+            tangents = []
+            for a in range(1, q + 1):
+                tp = np.array(node)
+                tm = np.array(node)
+                tp[a] += fd_step
+                tp[0] -= fd_step
+                tm[a] -= fd_step
+                tm[0] += fd_step
+                tangents.append(
+                    fd(base, level_map(m, q, tp, hs, kind), level_map(m, q, tm, hs, kind))
+                )
+            for v in frames:
+                hp = [hh @ exp_alg(fd_step * xi) for hh, xi in zip(hs, v.components)]
+                hm = [hh @ exp_alg(-fd_step * xi) for hh, xi in zip(hs, v.components)]
+                tangents.append(
+                    fd(base, level_map(m, q, node, hp, kind), level_map(m, q, node, hm, kind))
+                )
+            total += weight * mu.fn(base, tuple(tangents))
+        return sign * total
+
+    return fn
+
+
+@pytest.mark.parametrize(
+    "kind, m, q",
+    [(CONE, 2, 1), (CONE, 1, 2), (CONE, 2, 2), (CONE, 1, 3),
+     (EXPLICIT, 2, 1), (EXPLICIT, 1, 2), (EXPLICIT, 2, 2)],
+)
+def test_batched_form_equals_per_node_reference(kind, m, q):
+    # the batched evaluation only regroups the same matrix operations, so it
+    # reproduces the per-node evaluation exactly
+    rng = np.random.default_rng(100 * m + q)
+    mu = builtin_cocycle(4).components[(m, 4 - m)]
+    batched = transgression_form(mu, m, q, kind=kind, quad_order=3)
+    reference = per_node_transgression_form(mu, m, q, kind, quad_order=3)
+    for _ in range(2):
+        p = nerve_point([near(rng, 0.3) for _ in range(m + q - 1)])
+        frames = tuple(random_frame(m + q - 1, 4, rng) for _ in range(batched.degree))
+        assert batched.fn(p, frames) == reference(p, frames)
 
 
 def test_beta_quadrature_order_doubling(rng):

@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import __version__
+from .euler import MIN_CLUTCHING_STEPS
 from .matgroup import (
     DomainError,
     nerve_point,
@@ -85,6 +86,16 @@ def _positive(kind):
     return parse
 
 
+def _int_at_least(low):
+    def parse(text):
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"expected an integer >= {low}, got {text}")
+        return value
+
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="eulernerve",
@@ -99,8 +110,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="RNG seed (default: env NERVE_EULER_SEED or 0)")
         p.add_argument("--tol", type=_positive(float), default=tol)
         p.add_argument("--out", type=str, default=None, help="JSON report path")
-        p.add_argument("--workers", type=_positive(int), default=1,
-                       help="sample-level worker threads")
 
     p = sub.add_parser("verify-euler", help="total-cocycle residuals of the built-in cochains")
     p.add_argument("--n", type=int, choices=(2, 4, 6), default=4)
@@ -111,7 +120,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify-generator",
                        help="generated components against the built-in transcriptions")
-    p.add_argument("--p", dest="p_rank", type=_positive(int), default=3)
+    p.add_argument("--p", dest="p_rank", type=int, choices=(1, 2, 3), default=3)
     common(p, samples=10, tol=1e-10)
 
     p = sub.add_parser("pfaffian", help="Pfaffian-squared-equals-determinant and invariance")
@@ -121,7 +130,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("euler-number", help="clutching-loop winding integrals on SO(2)")
     p.add_argument("--winding", type=int, default=2)
-    p.add_argument("--steps", type=_positive(int), default=256)
+    p.add_argument("--steps", type=_int_at_least(MIN_CLUTCHING_STEPS), default=256)
     common(p, tol=1e-10)
 
     p = sub.add_parser("transgress", help="truncated-cocycle check of the local cochain")
@@ -172,7 +181,6 @@ def run_verify_euler(args, report: Report, rng) -> None:
         rng=rng,
         point_sampler=_haar_sampler(args.n),
         fd_step=args.fd_step,
-        workers=args.workers,
     )
     for bd, val in res.bidegree_residuals.items():
         report.add(f"total-cocycle residual at ({bd})", val, args.tol)
@@ -243,12 +251,11 @@ def run_euler_number(args, report: Report, rng) -> None:
 
 
 def run_transgress(args, report: Report, rng) -> None:
-    from .transgression import ContractionKind, truncated_cocycle_report
+    from .transgression import truncated_cocycle_report
 
     if args.radius >= np.pi:
         raise DomainError(f"--radius {args.radius:g} is not below pi")
     res = truncated_cocycle_report(
-        kind=ContractionKind.CONE,
         samples=args.samples,
         tol=args.tol,
         radius=args.radius,
@@ -270,10 +277,10 @@ def run_loop_cocycle(args, report: Report, rng) -> None:
         level2_loop_functional,
         loop_cocycle,
         loop_element,
+        mixed_partial,
         pf_pairing,
         random_loop,
     )
-    from .transgression import ContractionKind
 
     worst = 0.0
     for _ in range(args.trials):
@@ -297,14 +304,7 @@ def run_loop_cocycle(args, report: Report, rng) -> None:
 
     xa = random_loop(4, 1, rng, norm=0.8)
     xb = random_loop(4, 1, rng, norm=0.8)
-    step = 1e-3
-    offsets = (-2 * step, -step, step, 2 * step)
-    weights = (1.0, -8.0, 8.0, -1.0)
-    mixed = 0.0
-    for oa, wa in zip(offsets, weights):
-        for ob, wb in zip(offsets, weights):
-            mixed += wa * wb * level2_loop_functional(oa, xa, ob, xb)
-    mixed /= (12 * step) ** 2
+    mixed = mixed_partial(lambda a, b: level2_loop_functional(a, xa, b, xb))
     report.add(
         "level-2 functional mixed partial vs closed form",
         abs(mixed - closed_form_mixed_partial(xa, xb)),
@@ -315,17 +315,7 @@ def run_loop_cocycle(args, report: Report, rng) -> None:
         lambda ya, xia, yb, xib: level1_loop_functional(ya, xia, yb, xib), xa, xb
     )
     report.add("phi of the level-1 functional", abs(phi_a), args.tol)
-    # informational: the cone contraction gives a cohomologous functional;
-    # reduced quadrature, reported but not asserted
-    phi_a_cone = antisymmetrized_mixed_partial(
-        lambda ya, xia, yb, xib: level1_loop_functional(
-            ya, xia, yb, xib, theta_nodes=32, t_order=4, kind=ContractionKind.CONE
-        ),
-        xa,
-        xb,
-    )
     report.extra["phi_a_explicit"] = phi_a
-    report.extra["phi_a_cone"] = phi_a_cone
 
     phi_b = antisymmetrized_mixed_partial(
         lambda ya, xia, yb, xib: level2_loop_functional(ya, xia, yb, xib), xa, xb

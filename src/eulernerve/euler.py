@@ -2,9 +2,9 @@
 
 Two independent code paths construct the same cochains:
 
-* ``edge_cochain`` / ``diagonal_cochain`` / ``euler_component`` generate every
-  component of the degree-2p Euler cocycle from the combinatorial description
-  (words in the conjugated right-translation forms phi_s, square insertions
+* ``euler_component`` generates every component of the degree-2p Euler
+  cocycle from the combinatorial description (words in the conjugated
+  right-translation forms phi_s, square insertions
   R_ij = (phi_i + ... + phi_{j-1})^2, exact Dirichlet coefficients);
 * ``builtin_cocycle`` transcribes the explicit low-rank cochains for
   n in {2, 4, 6} letter by letter.
@@ -90,48 +90,6 @@ def euler_pfaffian(a: np.ndarray) -> float:
 
 # ---------------------------------------------------------------------------
 # generated cochain components
-
-
-def _edge_rational(p: int) -> Fraction:
-    sign = -1 if p % 2 else 1
-    binom = math.comb(2 * p - 1, p - 1)
-    return Fraction(sign, 2 ** (2 * p) * math.factorial(p) * binom * p)
-
-
-def edge_cochain(p: int) -> FormEvaluator:
-    """Degree-(2p-1) form on NG(1): the level-1 Euler component.
-
-    Sum over the p positions of the single linear letter among p-1 squared
-    letters of h^{-1} dh, with the exact edge coefficient.
-    """
-    if p < 1:
-        raise ValueError("p must be >= 1")
-    rat = _edge_rational(p)
-    words = []
-    for k in range(1, p + 1):
-        factors = [square(lmc(1)) for _ in range(k - 1)]
-        factors.append(lin(lmc(1)))
-        factors.extend(square(lmc(1)) for _ in range(p - k))
-        words.append(word(None, factors, rational=rat, pi_power=p))
-    return word_sum_form(1, 2 * p, words)
-
-
-def diagonal_cochain(p: int) -> FormEvaluator:
-    """Degree-p form on NG(p): the level-p Euler component.
-
-    Signed sum over orderings of the p conjugated right-translation letters
-    phi_1, ..., phi_p.
-    """
-    if p < 1:
-        raise ValueError("p must be >= 1")
-    sign = -1 if (p * (p + 1) // 2) % 2 else 1
-    rat = Fraction(sign, 2 ** (2 * p) * math.factorial(p) ** 2)
-    words = []
-    for sigma in permutations(range(1, p + 1)):
-        sgn = _perm_sign(sigma)
-        factors = [lin(phi(s)) for s in sigma]
-        words.append(word(None, factors, rational=sgn * rat, pi_power=p))
-    return word_sum_form(p, 2 * p, words)
 
 
 def _perm_sign(seq) -> int:
@@ -292,6 +250,9 @@ def builtin_cocycle(n: int):
 # clutching-loop Euler number (SO(2))
 
 
+MIN_CLUTCHING_STEPS = 64
+
+
 def clutching_euler_number(k: int, steps: int = 256) -> float:
     """Integrate the level-1 SO(2) component along theta -> R(2 pi k theta).
 
@@ -299,8 +260,8 @@ def clutching_euler_number(k: int, steps: int = 256) -> float:
     loop integrates to the Euler number k of the associated rank-2 bundle
     over S^2.
     """
-    if steps < 64:
-        raise ValueError("steps must be >= 64")
+    if steps < MIN_CLUTCHING_STEPS:
+        raise ValueError(f"steps must be >= {MIN_CLUTCHING_STEPS}")
     e11 = builtin_cocycle(2).components[(1, 1)]
     j = np.array([[0.0, -1.0], [1.0, 0.0]])
     total = 0.0
@@ -340,17 +301,14 @@ def phi_pullback_variants(
     rng: np.random.Generator,
     n: int = 4,
 ) -> dict[str, float]:
-    """Residuals of gamma^* phi_s against candidate conjugation identities.
-
-    Each candidate conjugates theta_{s-1} - theta_s (evaluated on the total
-    tangents, theta_i reading slot i) by a different group element: the first
-    coordinate g_0, the second coordinate g_1, or the partial product
-    g_0 ... g_{s-1}.  Also reports the finite-difference defect of the exact
-    pushforward.
+    """Residuals of gamma^* phi_s against the conjugation identity
+    gamma^* phi_s = Ad(g_0)(theta_{s-1} - theta_s), evaluated on the total
+    tangents with theta_i reading slot i ("conj_g0"), and the
+    finite-difference defect of the exact pushforward ("pushforward_fd").
     """
     if not 1 <= s <= q:
         raise ValueError("need 1 <= s <= q")
-    residuals = {"conj_g0": 0.0, "conj_g1": 0.0, "conj_partial": 0.0, "pushforward_fd": 0.0}
+    residuals = {"conj_g0": 0.0, "pushforward_fd": 0.0}
     step = 1e-5
     for _ in range(samples):
         gs = [sample_haar(n, rng) for _ in range(q + 1)]
@@ -370,22 +328,9 @@ def phi_pullback_variants(
                 float(np.max(np.abs(fd - frame.components[m]))),
             )
 
-        delta = xis[s - 1] - xis[s]
-        for name, g in (
-            ("conj_g0", gs[0]),
-            ("conj_g1", gs[1]),
-            ("conj_partial", _prod(gs[:s])),
-        ):
-            rhs = adjoint(g, delta)
-            residuals[name] = max(residuals[name], float(np.max(np.abs(lhs - rhs))))
+        rhs = adjoint(gs[0], xis[s - 1] - xis[s])
+        residuals["conj_g0"] = max(residuals["conj_g0"], float(np.max(np.abs(lhs - rhs))))
     return residuals
-
-
-def _prod(mats):
-    out = mats[0]
-    for m in mats[1:]:
-        out = out @ m
-    return out
 
 
 # ---------------------------------------------------------------------------

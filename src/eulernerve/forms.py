@@ -52,9 +52,6 @@ class Generator:
     start: int = 1
     stop: int = 0
 
-    def max_slot(self) -> int:
-        return self.stop - 1 if self.kind == "sumphi" else self.slot
-
 
 def lmc(k: int) -> Generator:
     return Generator("lmc", slot=k)

@@ -30,7 +30,6 @@ from scipy.linalg import expm
 from .euler import builtin_cocycle
 from .matgroup import nerve_point, skew_project, tangent_frame
 from .simplex import quadrature_rule
-from .transgression import ContractionKind, contraction
 
 LEVEL2_LOOP_SCALE = 0.25
 LEVEL1_LOOP_SCALE = 1.0 / 6.0
@@ -280,32 +279,24 @@ def level1_loop_functional(
     *,
     theta_nodes: int = 64,
     t_order: int = 8,
-    kind: ContractionKind = ContractionKind.EXPLICIT,
 ) -> float:
     """Integral over S^1 x Delta^2 of the level-1 component pulled back along
-    (theta, t) -> sigma_2(t; exp(y1 xi1(theta)), exp(y2 xi2(theta)))."""
+    (theta, t) -> exp((1-t_0) y1 xi1(theta)) exp(t_2 y2 xi2(theta)).
+
+    This is sigma_2(t; exp(y1 xi1), exp(y2 xi2)) for the first-order
+    exp-interpolation sigma_2(t; h_1, h_2) = exp((1-t_0) log h_1) exp(t_2 log h_2),
+    with the log of each exponential path written as the path's argument.
+    """
     e13 = builtin_cocycle(4).components[(1, 3)]
     rule = quadrature_rule(2, t_order)
     step = 1e-5
+
+    def point_at(t_vec, th):
+        return expm((1.0 - t_vec[0]) * y1 * xi1.value(th)) @ expm(t_vec[2] * y2 * xi2.value(th))
+
     total = 0.0
     for i in range(theta_nodes):
         theta = i / theta_nodes
-
-        if kind is ContractionKind.EXPLICIT:
-            # exp((1-t0) y1 xi1) exp(t2 y2 xi2) directly; the log of an
-            # exponential path is the path's argument
-            def point_at(t_vec, th):
-                return expm((1.0 - t_vec[0]) * y1 * xi1.value(th)) @ expm(
-                    t_vec[2] * y2 * xi2.value(th)
-                )
-
-        else:
-
-            def point_at(t_vec, th):
-                h1 = expm(y1 * xi1.value(th))
-                h2 = expm(y2 * xi2.value(th))
-                return contraction(kind, 2, t_vec, [h1, h2])
-
         for node, w in zip(rule.nodes, rule.weights):
             base = point_at(node, theta)
             tangents = []
@@ -329,6 +320,18 @@ def level1_loop_functional(
 # the antisymmetrized mixed-partial map (group cochains -> algebra cochains)
 
 
+def mixed_partial(f: Callable[[float, float], float], step: float = 1e-3) -> float:
+    """[d^2 f / da db]_(0, 0) by the fourth-order central stencil in each
+    variable."""
+    offsets = (-2.0 * step, -step, step, 2.0 * step)
+    weights = (1.0, -8.0, 8.0, -1.0)
+    total = 0.0
+    for oa, wa in zip(offsets, weights):
+        for ob, wb in zip(offsets, weights):
+            total += wa * wb * f(oa, ob)
+    return float(total / (12.0 * step) ** 2)
+
+
 def antisymmetrized_mixed_partial(
     c: Callable[[float, object, float, object], float],
     xi1,
@@ -339,19 +342,9 @@ def antisymmetrized_mixed_partial(
 
     ``c`` receives (y_first, xi_first, y_second, xi_second) and is expected to
     evaluate the underlying two-argument functional on the scaled exponential
-    paths.  Fourth-order central stencil in each variable.
+    paths.
     """
-    offsets = (-2.0 * step, -step, step, 2.0 * step)
-    weights = (1.0, -8.0, 8.0, -1.0)
-
-    def f(a: float, b: float) -> float:
-        return c(a, xi1, b, xi2) - c(b, xi2, a, xi1)
-
-    total = 0.0
-    for oa, wa in zip(offsets, weights):
-        for ob, wb in zip(offsets, weights):
-            total += wa * wb * f(oa, ob)
-    return float(total / (12.0 * step) ** 2)
+    return mixed_partial(lambda a, b: c(a, xi1, b, xi2) - c(b, xi2, a, xi1), step)
 
 
 def closed_form_mixed_partial(xi1: LoopElement, xi2: LoopElement, nodes: int | None = None) -> float:

@@ -142,14 +142,12 @@ def verify_total_cocycle(
     point_sampler: Callable[[int, np.random.Generator], NervePoint],
     frame_norm: float = 1.0,
     fd_step: float = 1e-4,
-    sign_audit: bool = True,
-    workers: int = 1,
 ) -> ResidualReport:
     """Sample the components of (d' + d'') applied to the cochain.
 
     For every adjacent bidegree the two contributions (d' of the component one
     level below, d'' of the component one degree below) are evaluated
-    separately on shared sample points, so an optional audit can search the
+    separately on shared sample points, so an audit can search the
     per-component sign flips {+-1} for the unique assignment (first component
     fixed to +1) under which all residuals vanish.
     """
@@ -171,32 +169,14 @@ def verify_total_cocycle(
             parts.append(((R, S - 1), d_second(comps[(R, S - 1)], step=fd_step)))
         contributions[(R, S)] = parts
 
-    # sample inputs are drawn sequentially so results are independent of the
-    # worker count; evaluation is pure and parallelizes over samples
-    tasks = []
+    values: dict[tuple[int, int], list[dict[tuple[int, int], float]]] = {
+        bd: [] for bd in contributions
+    }
     for _ in range(samples):
         for (R, S), parts in contributions.items():
             point = point_sampler(R, rng)
             frames = tuple(random_frame(R, n, rng, norm=frame_norm) for _ in range(S))
-            tasks.append(((R, S), point, frames))
-
-    def run(task):
-        bd, point, frames = task
-        return bd, {src: ev.fn(point, frames) for src, ev in contributions[bd]}
-
-    if workers > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(run, tasks))
-    else:
-        results = [run(t) for t in tasks]
-
-    values: dict[tuple[int, int], list[dict[tuple[int, int], float]]] = {
-        bd: [] for bd in contributions
-    }
-    for bd, row in results:
-        values[bd].append(row)
+            values[(R, S)].append({src: ev.fn(point, frames) for src, ev in parts})
 
     def max_residuals(signs: dict[tuple[int, int], int]) -> tuple[float, dict[str, float]]:
         per_bd: dict[str, float] = {}
@@ -214,19 +194,14 @@ def verify_total_cocycle(
 
     assignment = None
     consistent = 0
-    if sign_audit and len(keys) >= 1:
-        first, rest = keys[0], keys[1:]
-        for flips in product((1, -1), repeat=len(rest)):
-            signs = {first: 1, **dict(zip(rest, flips))}
-            worst, _ = max_residuals(signs)
-            if worst < tol:
-                consistent += 1
-                if assignment is None:
-                    assignment = {f"{k[0]},{k[1]}": signs[k] for k in keys}
-    else:
-        if base_max < tol:
-            consistent = 1
-            assignment = {f"{k[0]},{k[1]}": 1 for k in keys}
+    first, rest = keys[0], keys[1:]
+    for flips in product((1, -1), repeat=len(rest)):
+        signs = {first: 1, **dict(zip(rest, flips))}
+        worst, _ = max_residuals(signs)
+        if worst < tol:
+            consistent += 1
+            if assignment is None:
+                assignment = {f"{k[0]},{k[1]}": signs[k] for k in keys}
 
     return ResidualReport(
         tolerance=tol,

@@ -1,7 +1,7 @@
 """Transgression of the SO(4) Euler cocycle into the truncated local complex.
 
-A family of contraction maps sigma_l : Delta^l x U^l -> U (U a small
-neighborhood of the identity) is combined with the level maps
+The cone contractions sigma_l : Delta^l x U^l -> U (U a small neighborhood of
+the identity) are combined with the level maps
 
     f_{m,q}(t; h_1, ..., h_{m+q-1}) = (h_1, ..., h_{m-1},
                                        sigma_q(t; h_m, ..., h_{m+q-1}))
@@ -22,14 +22,12 @@ Fiber integration slots the simplex directions first:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 from typing import Sequence
 
 import numpy as np
 
-from .forms import FormEvaluator, add_forms, scale_form
+from .forms import FormEvaluator, add_forms
 from .matgroup import (
-    DomainError,
     NervePoint,
     TangentFrame,
     exp_alg,
@@ -46,26 +44,14 @@ from .simplex import quadrature_rule
 _APEX_EPS = 1e-13
 
 
-class ContractionKind(Enum):
-    CONE = "cone"
-    EXPLICIT = "explicit"  # the first-order exp-interpolation variant
+def contraction(l: int, t: Sequence[float], hs: Sequence[np.ndarray]) -> np.ndarray:
+    """sigma_l(t_0, ..., t_l; h_1, ..., h_l) for near-identity h's: the cone
 
-
-def contraction(
-    kind: ContractionKind, l: int, t: Sequence[float], hs: Sequence[np.ndarray]
-) -> np.ndarray:
-    """sigma_l(t_0, ..., t_l; h_1, ..., h_l) for near-identity h's.
-
-    CONE satisfies the simplicial compatibility exactly:
         sigma_l(t; h) = rho_{1-t_0}(h_1 sigma_{l-1}((t_1..t_l)/(1-t_0); h_2..)),
         rho_s(u) = exp(s log u),
-    with value 1 at the apex t_0 = 1.  EXPLICIT is the first-order variant
 
-        sigma_1(t; h)        = exp(t_1 log h)
-        sigma_2(t; h_1, h_2) = exp((1-t_0) log h_1) exp(t_2 log h_2)
-
-    which violates compatibility at the middle face for noncommuting inputs
-    and is kept only to reproduce the loop-functional computation.
+    with value 1 at the apex t_0 = 1.  It satisfies the simplicial
+    compatibility with the nerve faces exactly; sigma_1(t; h) = exp(t_1 log h).
     """
     t = np.asarray(t, dtype=float)
     if len(t) != l + 1:
@@ -74,22 +60,15 @@ def contraction(
         raise ValueError(f"expected {l} group arguments, got {len(hs)}")
     if l == 0:
         raise ValueError("use identity for sigma_0; need n")
-    return _contract(kind, t[None], np.stack(hs)[None])[0]
+    return _contract(t[None], np.stack(hs)[None])[0]
 
 
-def _contract(kind: ContractionKind, t: np.ndarray, hs: np.ndarray) -> np.ndarray:
+def _contract(t: np.ndarray, hs: np.ndarray) -> np.ndarray:
     """sigma_l on a batch: t of shape (B, l+1) and hs of shape (B, l, n, n)
     give (B, n, n).  Every matrix of the batch gets the same operations as a
     batch of one, so a row's value does not depend on the other rows."""
     batch, l, n = hs.shape[0], hs.shape[1], hs.shape[-1]
-    if kind is ContractionKind.EXPLICIT:
-        if l == 1:
-            return exp_alg(t[:, 1, None, None] * log_grp(hs[:, 0]))
-        if l == 2:
-            first = exp_alg((1.0 - t[:, 0])[:, None, None] * log_grp(hs[:, 0]))
-            return first @ exp_alg(t[:, 2, None, None] * log_grp(hs[:, 1]))
-        raise ValueError("the explicit variant is defined for l <= 2")
-    # CONE recursion over the depth; rows at the apex keep the identity
+    # recursion over the depth; rows at the apex keep the identity
     out = np.broadcast_to(np.eye(n), (batch, n, n)).copy()
     if l == 0:
         return out
@@ -97,24 +76,18 @@ def _contract(kind: ContractionKind, t: np.ndarray, hs: np.ndarray) -> np.ndarra
     live = rest > _APEX_EPS
     if live.any():
         rest = rest[live][:, None]
-        inner = _contract(kind, t[live, 1:] / rest, hs[live, 1:])
+        inner = _contract(t[live, 1:] / rest, hs[live, 1:])
         u = hs[live, 0] @ inner
         out[live] = exp_alg(rest[:, None] * log_grp(u))
     return out
 
 
-def level_map(
-    m: int,
-    q: int,
-    t: Sequence[float],
-    hs: Sequence[np.ndarray],
-    kind: ContractionKind = ContractionKind.CONE,
-) -> NervePoint:
+def level_map(m: int, q: int, t: Sequence[float], hs: Sequence[np.ndarray]) -> NervePoint:
     """f_{m,q}: the first m-1 arguments pass through, the rest contract."""
     hs = list(hs)
     if len(hs) != m + q - 1:
         raise ValueError(f"expected {m + q - 1} group arguments, got {len(hs)}")
-    comps = hs[: m - 1] + [contraction(kind, q, t, hs[m - 1 :])]
+    comps = hs[: m - 1] + [contraction(q, t, hs[m - 1 :])]
     return nerve_point(comps, n=hs[0].shape[0])
 
 
@@ -129,7 +102,6 @@ def transgression_form(
     m: int,
     q: int,
     *,
-    kind: ContractionKind = ContractionKind.CONE,
     quad_order: int = 8,
     fd_step: float = 1e-4,
     scale: float = 1.0,
@@ -163,7 +135,7 @@ def transgression_form(
 
     def contract_nodes(t: np.ndarray, hs: np.ndarray) -> np.ndarray:
         # the last q arguments, repeated for every node
-        return _contract(kind, t, np.broadcast_to(hs[m - 1 :], (n_nodes, q) + hs.shape[1:]))
+        return _contract(t, np.broadcast_to(hs[m - 1 :], (n_nodes, q) + hs.shape[1:]))
 
     def fn(p: NervePoint, frames: Sequence[TangentFrame]) -> float:
         if p.level != level:
@@ -207,15 +179,12 @@ class LocalCochain:
 
     eta0: FormEvaluator
     eta1: FormEvaluator
-    radius: float
 
 
 def local_cochain(
     *,
-    kind: ContractionKind = ContractionKind.CONE,
     quad_order: int = 8,
     fd_step: float = 1e-4,
-    radius: float = 0.1,
     beta21_scale: float = 1.0,
 ) -> LocalCochain:
     from .euler import builtin_cocycle
@@ -223,17 +192,13 @@ def local_cochain(
     comps = builtin_cocycle(4).components
     mu1 = comps[(1, 3)]
     mu2 = comps[(2, 2)]
-    beta22 = transgression_form(mu2, 2, 2, kind=kind, quad_order=quad_order, fd_step=fd_step)
-    beta13 = transgression_form(mu1, 1, 3, kind=kind, quad_order=quad_order, fd_step=fd_step)
+    beta22 = transgression_form(mu2, 2, 2, quad_order=quad_order, fd_step=fd_step)
+    beta13 = transgression_form(mu1, 1, 3, quad_order=quad_order, fd_step=fd_step)
     beta21 = transgression_form(
-        mu2, 2, 1, kind=kind, quad_order=quad_order, fd_step=fd_step, scale=beta21_scale
+        mu2, 2, 1, quad_order=quad_order, fd_step=fd_step, scale=beta21_scale
     )
-    beta12 = transgression_form(mu1, 1, 2, kind=kind, quad_order=quad_order, fd_step=fd_step)
-    return LocalCochain(
-        eta0=add_forms(beta22, beta13),
-        eta1=add_forms(beta21, beta12),
-        radius=radius,
-    )
+    beta12 = transgression_form(mu1, 1, 2, quad_order=quad_order, fd_step=fd_step)
+    return LocalCochain(eta0=add_forms(beta22, beta13), eta1=add_forms(beta21, beta12))
 
 
 @dataclass
@@ -258,7 +223,6 @@ class TransgressionReport:
 
 def truncated_cocycle_report(
     *,
-    kind: ContractionKind = ContractionKind.CONE,
     samples: int = 10,
     tol: float = 1e-3,
     radius: float = 0.1,
@@ -274,10 +238,7 @@ def truncated_cocycle_report(
     Degree-0 component on U^4: the simplicial differential of eta_0.
     Degree-1 component on U^3: d' eta_1 + d'' eta_0.
     """
-    lc = local_cochain(
-        kind=kind, quad_order=quad_order, fd_step=fd_step, radius=radius,
-        beta21_scale=beta21_scale,
-    )
+    lc = local_cochain(quad_order=quad_order, fd_step=fd_step, beta21_scale=beta21_scale)
     eq0 = d_prime(lc.eta0)
     eq1 = add_forms(d_prime(lc.eta1), d_second(lc.eta0, step=d2_step))
 
@@ -300,8 +261,8 @@ def truncated_cocycle_report(
         from .euler import builtin_cocycle
 
         mu2 = builtin_cocycle(4).components[(2, 2)]
-        b_lo = transgression_form(mu2, 2, 1, kind=kind, quad_order=quad_order, fd_step=fd_step)
-        b_hi = transgression_form(mu2, 2, 1, kind=kind, quad_order=2 * quad_order, fd_step=fd_step)
+        b_lo = transgression_form(mu2, 2, 1, quad_order=quad_order, fd_step=fd_step)
+        b_hi = transgression_form(mu2, 2, 1, quad_order=2 * quad_order, fd_step=fd_step)
         p2 = sample_point(2)
         v = (random_frame(2, 4, rng),)
         conv = abs(b_lo.fn(p2, v) - b_hi.fn(p2, v))

@@ -1,8 +1,39 @@
 import json
 
+import pytest
+
 from eulernerve.cli import SCHEMA_VERSION, main
 
 TRANSGRESS = ["transgress", "--samples", "1", "--quad-order", "2", "--seed", "3"]
+
+FAST_SUITES = [
+    (["verify-euler", "--n", "2"],
+     ["total-cocycle residual at (1,2)", "total-cocycle residual at (2,1)",
+      "unique sign assignment"]),
+    (["verify-euler", "--n", "4"],
+     ["total-cocycle residual at (1,4)", "total-cocycle residual at (2,3)",
+      "total-cocycle residual at (3,2)", "unique sign assignment"]),
+    (["verify-generator", "--p", "2"],
+     ["generator vs transcription (p=1, q=0)", "generator vs transcription (p=2, q=0)",
+      "generator vs transcription (p=2, q=1)"]),
+    (["pfaffian", "--n", "4", "--trials", "5"],
+     ["pfaffian^2 = det (relative)", "conjugation invariance (relative)"]),
+    (["euler-number"], ["winding 2"]),
+    (["structure-tests", "--n", "2", "--samples", "1"],
+     ["Maurer-Cartan (left)", "Maurer-Cartan (right)", "d o d",
+      "simplicial identities (points)", "simplicial identities (pushforwards)",
+      "face pushforward vs finite differences", "d' o d'", "d' d'' + d'' d'"]),
+]
+# arguments outside what a suite accepts, and the option the message names
+BAD_ARGUMENTS = [
+    (["structure-tests", "--workers", "2"], "--workers"),
+    (["verify-generator", "--p", "4"], "--p"),
+    (["euler-number", "--steps", "10"], "--steps"),
+]
+
+
+def argv_id(cases):
+    return ["_".join(arg.lstrip("-") for arg in argv) for argv, _ in cases]
 
 
 def run_report(argv, path):
@@ -32,3 +63,28 @@ def test_transgress_radius_outside_log_domain_exits_2(tmp_path, capsys):
 
 def test_no_arguments_exits_2(capsys):
     assert main([]) == 2
+
+
+@pytest.mark.parametrize("argv, names", FAST_SUITES, ids=argv_id(FAST_SUITES))
+def test_fast_suites_pass(argv, names, tmp_path):
+    code, report = run_report(argv, tmp_path / "report.json")
+    assert code == 0
+    assert report["schema_version"] == SCHEMA_VERSION
+    assert report["pass"] is True
+    assert [c["name"] for c in report["checks"]] == names
+
+
+def test_failed_check_exits_1(tmp_path):
+    code, report = run_report(
+        ["pfaffian", "--n", "4", "--trials", "2", "--tol", "1e-300"], tmp_path / "report.json"
+    )
+    assert code == 1
+    assert report["pass"] is False
+
+
+@pytest.mark.parametrize("argv, option", BAD_ARGUMENTS, ids=argv_id(BAD_ARGUMENTS))
+def test_bad_arguments_exit_2(argv, option, tmp_path, capsys):
+    path = tmp_path / "report.json"
+    assert main([*argv, "--out", str(path)]) == 2
+    assert option in capsys.readouterr().err
+    assert not path.exists()

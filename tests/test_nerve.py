@@ -225,18 +225,6 @@ def test_verify_detects_perturbation(rng):
     assert clean.max_residual < 1e-8
 
 
-def test_verify_workers_deterministic():
-    r1 = verify_total_cocycle(
-        builtin_cocycle(4), samples=4, tol=1e-5,
-        rng=np.random.default_rng(5), point_sampler=haar_sampler(4), workers=1,
-    )
-    r2 = verify_total_cocycle(
-        builtin_cocycle(4), samples=4, tol=1e-5,
-        rng=np.random.default_rng(5), point_sampler=haar_sampler(4), workers=3,
-    )
-    assert r1.bidegree_residuals == r2.bidegree_residuals
-
-
 def test_cochain_validates_bidegrees():
     bad = builtin_cocycle(4).components[(1, 3)]
     with pytest.raises(ValueError):

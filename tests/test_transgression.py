@@ -15,7 +15,6 @@ from eulernerve.matgroup import (
 )
 from eulernerve.simplex import quadrature_rule
 from eulernerve.transgression import (
-    ContractionKind,
     _contract,
     contraction,
     level_map,
@@ -23,9 +22,6 @@ from eulernerve.transgression import (
     transgression_form,
     truncated_cocycle_report,
 )
-
-CONE = ContractionKind.CONE
-EXPLICIT = ContractionKind.EXPLICIT
 
 
 def near(rng, radius=0.1):
@@ -39,15 +35,13 @@ def near(rng, radius=0.1):
 def test_sigma1_cone_equals_explicit(rng):
     h = near(rng, 0.3)
     t = rng.dirichlet(np.ones(2))
-    a = contraction(CONE, 1, t, [h])
-    b = contraction(EXPLICIT, 1, t, [h])
-    assert np.max(np.abs(a - b)) < 1e-13
+    a = contraction(1, t, [h])
     assert np.max(np.abs(a - exp_alg(t[1] * log_grp(h)))) < 1e-13
 
 
 def test_cone_apex_is_identity(rng):
     h1, h2 = near(rng), near(rng)
-    val = contraction(CONE, 2, [1.0, 0.0, 0.0], [h1, h2])
+    val = contraction(2, [1.0, 0.0, 0.0], [h1, h2])
     assert np.array_equal(val, np.eye(4))
 
 
@@ -58,9 +52,9 @@ def test_batched_cone_rows_match_single_rows(rng):
     t = rng.dirichlet(np.ones(4), size=5)
     t[1] = [1.0, 0.0, 0.0, 0.0]
     t[3] = [0.25, 0.75, 0.0, 0.0]
-    out = _contract(CONE, t, hs)
+    out = _contract(t, hs)
     for row in range(5):
-        assert np.array_equal(out[row], contraction(CONE, 3, t[row], list(hs[row])))
+        assert np.array_equal(out[row], contraction(3, t[row], list(hs[row])))
     assert np.array_equal(out[1], np.eye(4))
 
 
@@ -74,47 +68,25 @@ def test_cone_face_compatibility_all_faces(l, rng):
         t = rng.dirichlet(np.ones(l))
         for j in range(l + 1):
             te = np.insert(t, j, 0.0)
-            lhs = contraction(CONE, l, te, hs)
+            lhs = contraction(l, te, hs)
             if j == 0:
                 rhs = hs[0] @ (
-                    contraction(CONE, l - 1, t, hs[1:]) if l > 1 else np.eye(4)
+                    contraction(l - 1, t, hs[1:]) if l > 1 else np.eye(4)
                 )
             elif j < l:
                 merged = hs[: j - 1] + [hs[j - 1] @ hs[j]] + hs[j + 1 :]
-                rhs = contraction(CONE, l - 1, t, merged)
+                rhs = contraction(l - 1, t, merged)
             else:
-                rhs = contraction(CONE, l - 1, t, hs[:-1])
+                rhs = contraction(l - 1, t, hs[:-1])
             worst = max(worst, float(np.max(np.abs(lhs - rhs))))
     assert worst < 1e-10
 
 
-def test_explicit_sigma2_violates_middle_face(rng):
-    # the first-order variant fails the j = 1 compatibility for noncommuting
-    # inputs; this is the reason it is never used in the cocycle check
-    h1, h2 = near(rng, 0.3), near(rng, 0.3)
-    t = np.array([0.4, 0.6])
-    te = np.insert(t, 1, 0.0)
-    lhs = contraction(EXPLICIT, 2, te, [h1, h2])
-    rhs = contraction(EXPLICIT, 1, t, [h1 @ h2])
-    assert np.max(np.abs(lhs - rhs)) > 1e-6
-
-
-def test_explicit_sigma2_outer_faces_ok(rng):
-    h1, h2 = near(rng, 0.3), near(rng, 0.3)
-    t = rng.dirichlet(np.ones(2))
-    lhs = contraction(EXPLICIT, 2, np.insert(t, 0, 0.0), [h1, h2])
-    rhs = h1 @ contraction(EXPLICIT, 1, t, [h2])
-    assert np.max(np.abs(lhs - rhs)) < 1e-12
-    lhs = contraction(EXPLICIT, 2, np.insert(t, 2, 0.0), [h1, h2])
-    rhs = contraction(EXPLICIT, 1, t, [h1])
-    assert np.max(np.abs(lhs - rhs)) < 1e-12
-
-
 def test_contraction_argument_counts(rng):
     with pytest.raises(ValueError):
-        contraction(CONE, 2, [1.0, 0.0], [near(rng), near(rng)])
+        contraction(2, [1.0, 0.0], [near(rng), near(rng)])
     with pytest.raises(ValueError):
-        contraction(CONE, 2, [0.5, 0.3, 0.2], [near(rng)])
+        contraction(2, [0.5, 0.3, 0.2], [near(rng)])
 
 
 def test_contraction_domain_error():
@@ -122,7 +94,7 @@ def test_contraction_domain_error():
     g4 = np.eye(4)
     g4[:2, :2] = g
     with pytest.raises(DomainError):
-        contraction(CONE, 1, [0.5, 0.5], [g4])
+        contraction(1, [0.5, 0.5], [g4])
 
 
 # ---------------------------------------------------------------------------
@@ -134,7 +106,7 @@ def test_level_map_passthrough(rng):
     t = rng.dirichlet(np.ones(2))
     point = level_map(2, 1, t, [h1, h2])
     assert np.array_equal(point.components[0], h1)
-    assert np.max(np.abs(point.components[1] - contraction(CONE, 1, t, [h2]))) == 0.0
+    assert np.max(np.abs(point.components[1] - contraction(1, t, [h2]))) == 0.0
 
 
 def test_level_map_full_contraction(rng):
@@ -142,7 +114,7 @@ def test_level_map_full_contraction(rng):
     t = rng.dirichlet(np.ones(3))
     point = level_map(1, 2, t, [h1, h2])
     assert point.level == 1
-    assert np.max(np.abs(point.components[0] - contraction(CONE, 2, t, [h1, h2]))) == 0.0
+    assert np.max(np.abs(point.components[0] - contraction(2, t, [h1, h2]))) == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -171,7 +143,7 @@ def test_beta_vanishes_on_identity_inputs(rng):
     assert b13.fn(identity_point(4, 3), ()) == 0.0
 
 
-def per_node_transgression_form(mu, m, q, kind, quad_order, fd_step=1e-4):
+def per_node_transgression_form(mu, m, q, quad_order, fd_step=1e-4):
     """Reference: the level map and its central differences, node by node."""
     rule = quadrature_rule(q, quad_order)
     sign = -1.0 if m % 2 else 1.0
@@ -187,7 +159,7 @@ def per_node_transgression_form(mu, m, q, kind, quad_order, fd_step=1e-4):
         hs = list(p.components)
         total = 0.0
         for node, weight in zip(rule.nodes, rule.weights):
-            base = level_map(m, q, node, hs, kind)
+            base = level_map(m, q, node, hs)
             tangents = []
             for a in range(1, q + 1):
                 tp = np.array(node)
@@ -197,13 +169,13 @@ def per_node_transgression_form(mu, m, q, kind, quad_order, fd_step=1e-4):
                 tm[a] -= fd_step
                 tm[0] += fd_step
                 tangents.append(
-                    fd(base, level_map(m, q, tp, hs, kind), level_map(m, q, tm, hs, kind))
+                    fd(base, level_map(m, q, tp, hs), level_map(m, q, tm, hs))
                 )
             for v in frames:
                 hp = [hh @ exp_alg(fd_step * xi) for hh, xi in zip(hs, v.components)]
                 hm = [hh @ exp_alg(-fd_step * xi) for hh, xi in zip(hs, v.components)]
                 tangents.append(
-                    fd(base, level_map(m, q, node, hp, kind), level_map(m, q, node, hm, kind))
+                    fd(base, level_map(m, q, node, hp), level_map(m, q, node, hm))
                 )
             total += weight * mu.fn(base, tuple(tangents))
         return sign * total
@@ -211,18 +183,14 @@ def per_node_transgression_form(mu, m, q, kind, quad_order, fd_step=1e-4):
     return fn
 
 
-@pytest.mark.parametrize(
-    "kind, m, q",
-    [(CONE, 2, 1), (CONE, 1, 2), (CONE, 2, 2), (CONE, 1, 3),
-     (EXPLICIT, 2, 1), (EXPLICIT, 1, 2), (EXPLICIT, 2, 2)],
-)
-def test_batched_form_equals_per_node_reference(kind, m, q):
+@pytest.mark.parametrize("m, q", [(2, 1), (1, 2), (2, 2), (1, 3)])
+def test_batched_form_equals_per_node_reference(m, q):
     # the batched evaluation only regroups the same matrix operations, so it
     # reproduces the per-node evaluation exactly
     rng = np.random.default_rng(100 * m + q)
     mu = builtin_cocycle(4).components[(m, 4 - m)]
-    batched = transgression_form(mu, m, q, kind=kind, quad_order=3)
-    reference = per_node_transgression_form(mu, m, q, kind, quad_order=3)
+    batched = transgression_form(mu, m, q, quad_order=3)
+    reference = per_node_transgression_form(mu, m, q, quad_order=3)
     for _ in range(2):
         p = nerve_point([near(rng, 0.3) for _ in range(m + q - 1)])
         frames = tuple(random_frame(m + q - 1, 4, rng) for _ in range(batched.degree))

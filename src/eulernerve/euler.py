@@ -38,7 +38,9 @@ from .forms import (
     generator_value,
     lin,
     lmc,
+    parity,
     perm_table,
+    pfaffian_contraction,
     phi,
     rmc,
     square,
@@ -55,26 +57,13 @@ from .matgroup import (
     random_skew,
     sample_haar,
     tangent_frame,
+    trivialized_difference,
 )
 from .simplex import monomial_integral
 
 
 # ---------------------------------------------------------------------------
 # Pfaffian
-
-
-def pfaffian_contraction(mats: list[np.ndarray]) -> float:
-    """sum_{tau in S_{2p}} sgn(tau) prod_i (mats[i])_{tau(2i-1) tau(2i)}."""
-    p = len(mats)
-    n = 2 * p
-    for m in mats:
-        if m.shape != (n, n):
-            raise ValueError(f"expected {p} matrices of shape ({n},{n})")
-    table, signs = perm_table(n)
-    prod_vals = np.ones(len(signs))
-    for i, m in enumerate(mats):
-        prod_vals *= m[table[:, 2 * i], table[:, 2 * i + 1]]
-    return float(prod_vals @ signs)
 
 
 def euler_pfaffian(a: np.ndarray) -> float:
@@ -90,13 +79,6 @@ def euler_pfaffian(a: np.ndarray) -> float:
 
 # ---------------------------------------------------------------------------
 # generated cochain components
-
-
-def _perm_sign(seq) -> int:
-    inv = sum(
-        1 for i in range(len(seq)) for j in range(i + 1, len(seq)) if seq[i] > seq[j]
-    )
-    return -1 if inv % 2 else 1
 
 
 @dataclass(frozen=True)
@@ -133,7 +115,7 @@ def euler_component_words(p: int, q: int) -> ComponentWords:
     gaps = range(m + 1)
     words = []
     for sigma in permutations(range(1, m + 1)):
-        sgn = _perm_sign(sigma)
+        sgn = parity(sigma)
         for placement in combinations_with_replacement(product(labels, gaps), q):
             exponents = [0] * (m + 1)
             per_gap: dict[int, list[tuple[int, int]]] = {g: [] for g in gaps}
@@ -222,7 +204,7 @@ def builtin_cocycle(n: int):
         c24 = Fraction(1, 2**6 * 6 * 24)
         e24_words = []
         for sigma in ((1, 2), (2, 1)):
-            sgn = _perm_sign(sigma)
+            sgn = parity(sigma)
             letters = [lin(a) if s == 1 else lin(b) for s in sigma]
             for gap in range(3):
                 for mult, part in bracket_parts:
@@ -236,7 +218,7 @@ def builtin_cocycle(n: int):
         letters33 = {1: lmc(1), 2: rmc(2), 3: conj_rmc(3, 2)}
         e33_words = []
         for sigma in permutations((1, 2, 3)):
-            sgn = _perm_sign(sigma)
+            sgn = parity(sigma)
             factors = [lin(letters33[s]) for s in sigma]
             e33_words.append(word(None, factors, rational=sgn * c33, pi_power=3))
         e33 = word_sum_form(3, 6, e33_words)
@@ -321,8 +303,9 @@ def phi_pullback_variants(
         moved_p = bundle_projection([g @ expm(step * x) for g, x in zip(gs, xis)])
         moved_m = bundle_projection([g @ expm(-step * x) for g, x in zip(gs, xis)])
         for m in range(q):
-            diff = (moved_p.components[m] - moved_m.components[m]) / (2 * step)
-            fd = 0.5 * (point.components[m].T @ diff - (point.components[m].T @ diff).T)
+            fd = trivialized_difference(
+                point.components[m], moved_p.components[m], moved_m.components[m], step
+            )
             residuals["pushforward_fd"] = max(
                 residuals["pushforward_fd"],
                 float(np.max(np.abs(fd - frame.components[m]))),

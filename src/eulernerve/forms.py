@@ -101,10 +101,6 @@ def generator_value(gen: Generator, p: NervePoint, v: TangentFrame) -> np.ndarra
 Combo = tuple[tuple[float, Generator], ...]
 
 
-def combo(*terms: tuple[float, Generator]) -> Combo:
-    return tuple(terms)
-
-
 def single(gen: Generator) -> Combo:
     return ((1.0, gen),)
 
@@ -183,24 +179,47 @@ def word(coefficient, factors, rational: Fraction | None = None, pi_power: int =
 # permutation and shuffle tables
 
 
+def parity(seq: Sequence[int]) -> int:
+    """Sign of a sequence of distinct integers: -1 for an odd number of
+    inversions, +1 for an even one."""
+    inv = sum(
+        1 for i in range(len(seq)) for j in range(i + 1, len(seq)) if seq[i] > seq[j]
+    )
+    return -1 if inv % 2 else 1
+
+
 @lru_cache(maxsize=None)
 def perm_table(m: int) -> tuple[np.ndarray, np.ndarray]:
     """All permutations of range(m) (rows) and their signs."""
     perms = list(itertools.permutations(range(m)))
     table = np.array(perms, dtype=np.intp)
-    signs = np.empty(len(perms))
-    for r, perm in enumerate(perms):
-        inv = 0
-        for i in range(m):
-            for j in range(i + 1, m):
-                if perm[i] > perm[j]:
-                    inv += 1
-        signs[r] = -1.0 if inv % 2 else 1.0
+    signs = np.array([parity(perm) for perm in perms], dtype=float)
     return table, signs
 
 
+def pfaffian_contraction(mats: Sequence[np.ndarray]) -> float | np.ndarray:
+    """sum_{tau in S_{2p}} sgn(tau) prod_i (mats[i])_{tau(2i-1) tau(2i)}.
+
+    Each of the p factors is a (2p, 2p) matrix or a stack (..., 2p, 2p); the
+    batch shapes broadcast.  Matrices give a float, stacks an array of the
+    batch shape.
+    """
+    p = len(mats)
+    n = 2 * p
+    for m in mats:
+        if m.shape[-2:] != (n, n):
+            raise ValueError(f"expected {p} matrices of shape (..., {n}, {n})")
+    table, signs = perm_table(n)
+    batch = np.broadcast_shapes(*(m.shape[:-2] for m in mats))
+    prod = np.ones(batch + (len(signs),))
+    for i, m in enumerate(mats):
+        prod *= m[..., table[:, 2 * i], table[:, 2 * i + 1]]
+    total = prod @ signs
+    return total if batch else float(total)
+
+
 @lru_cache(maxsize=None)
-def shuffle_table(degrees: tuple[int, ...]) -> tuple[tuple[float, tuple[tuple[int, ...], ...]], ...]:
+def shuffle_table(degrees: tuple[int, ...]) -> tuple[tuple[int, tuple[tuple[int, ...], ...]], ...]:
     """(sign, blocks) for every (d_1, ..., d_m)-shuffle of range(sum d_i).
 
     Each block lists the argument indices handed to one factor, ascending
@@ -208,15 +227,6 @@ def shuffle_table(degrees: tuple[int, ...]) -> tuple[tuple[float, tuple[tuple[in
     """
     s = sum(degrees)
     out = []
-
-    def parity(seq: tuple[int, ...]) -> float:
-        inv = sum(
-            1
-            for i in range(len(seq))
-            for j in range(i + 1, len(seq))
-            if seq[i] > seq[j]
-        )
-        return -1.0 if inv % 2 else 1.0
 
     def rec(remaining: tuple[int, ...], degs: tuple[int, ...], blocks):
         if not degs:
@@ -304,7 +314,6 @@ class WordSumEvaluator:
                 self._rows.append(tuple(recipe))
                 coeffs.append(w.coefficient * sign)
         self._coeffs = np.array(coeffs)
-        self._table, self._signs = perm_table(n)
 
     def __call__(self, p: NervePoint, frames: Sequence[TangentFrame]) -> float:
         n = self.n
@@ -327,11 +336,7 @@ class WordSumEvaluator:
                     mats[r, f] = cval(ca, i)
                 else:
                     mats[r, f] = cval(ca, i) @ cval(cb, j) - cval(ca, j) @ cval(cb, i)
-        table, signs = self._table, self._signs
-        prod = np.ones((len(rows), len(signs)))
-        for f in range(nfac):
-            prod *= mats[:, f][:, table[:, 2 * f], table[:, 2 * f + 1]]
-        return float(self._coeffs @ (prod @ signs))
+        return float(self._coeffs @ pfaffian_contraction([mats[:, f] for f in range(nfac)]))
 
     def as_form(self) -> FormEvaluator:
         return FormEvaluator(self.level, self.degree, self)

@@ -28,11 +28,15 @@ import numpy as np
 from scipy.linalg import expm
 
 from .euler import builtin_cocycle
-from .matgroup import nerve_point, skew_project, tangent_frame
+from .matgroup import nerve_point, skew_project, tangent_frame, trivialized_difference
 from .simplex import quadrature_rule
 
 LEVEL2_LOOP_SCALE = 0.25
 LEVEL1_LOOP_SCALE = 1.0 / 6.0
+# central-difference steps: the fourth-order stencil of the mixed partials,
+# and the tangents of the loop-group paths inside the functionals
+STENCIL_STEP = 1e-3
+TANGENT_STEP = 1e-5
 
 
 # ---------------------------------------------------------------------------
@@ -72,16 +76,6 @@ class LoopElement:
             sin_c.append(-w * a)
         return LoopElement(np.zeros_like(self.c0), tuple(cos_c), tuple(sin_c))
 
-    def to_json(self) -> dict:
-        from .matgroup import matrix_to_json
-
-        return {
-            "K": self.max_frequency,
-            "c0": matrix_to_json(self.c0),
-            "a": [matrix_to_json(a) for a in self.cos_coeffs],
-            "b": [matrix_to_json(b) for b in self.sin_coeffs],
-        }
-
 
 def loop_element(c0, cos_coeffs=(), sin_coeffs=()) -> LoopElement:
     c0 = skew_project(np.asarray(c0, dtype=float))
@@ -90,16 +84,6 @@ def loop_element(c0, cos_coeffs=(), sin_coeffs=()) -> LoopElement:
     if len(cos_t) != len(sin_t):
         raise ValueError("cos and sin coefficient lists must have equal length")
     return LoopElement(c0, cos_t, sin_t)
-
-
-def loop_from_json(data: dict) -> LoopElement:
-    from .matgroup import matrix_from_json
-
-    return loop_element(
-        matrix_from_json(data["c0"]),
-        [matrix_from_json(a) for a in data.get("a", [])],
-        [matrix_from_json(b) for b in data.get("b", [])],
-    )
 
 
 def random_loop(
@@ -225,12 +209,12 @@ def cocycle_residual(x1: LoopElement, x2: LoopElement, x3: LoopElement) -> float
 # loop functionals from the Euler components
 
 
-def _loop_tangent(h_of, theta: float, step: float = 1e-5) -> np.ndarray:
+def _loop_tangent(h_of, theta: float) -> np.ndarray:
     """Left-trivialized theta-derivative of a group-valued curve by central
-    differences."""
-    base = h_of(theta)
-    diff = (h_of(theta + step) - h_of(theta - step)) / (2.0 * step)
-    return skew_project(base.T @ diff)
+    differences of step ``TANGENT_STEP``."""
+    return trivialized_difference(
+        h_of(theta), h_of(theta + TANGENT_STEP), h_of(theta - TANGENT_STEP), TANGENT_STEP
+    )
 
 
 def level2_loop_functional(
@@ -289,7 +273,7 @@ def level1_loop_functional(
     """
     e13 = builtin_cocycle(4).components[(1, 3)]
     rule = quadrature_rule(2, t_order)
-    step = 1e-5
+    step = TANGENT_STEP
 
     def point_at(t_vec, th):
         return expm((1.0 - t_vec[0]) * y1 * xi1.value(th)) @ expm(t_vec[2] * y2 * xi2.value(th))
@@ -307,10 +291,12 @@ def level1_loop_functional(
                 tp[0] -= step
                 tm[a] -= step
                 tm[0] += step
-                diff = (point_at(tp, theta) - point_at(tm, theta)) / (2.0 * step)
-                tangents.append(tangent_frame([skew_project(base.T @ diff)]))
-            diff = (point_at(node, theta + step) - point_at(node, theta - step)) / (2.0 * step)
-            tangents.append(tangent_frame([skew_project(base.T @ diff)]))
+                diff = trivialized_difference(base, point_at(tp, theta), point_at(tm, theta), step)
+                tangents.append(tangent_frame([diff]))
+            diff = trivialized_difference(
+                base, point_at(node, theta + step), point_at(node, theta - step), step
+            )
+            tangents.append(tangent_frame([diff]))
             val = e13.fn(nerve_point([base]), tuple(tangents))
             total += w * val / theta_nodes
     return float(LEVEL1_LOOP_SCALE * total)
@@ -320,9 +306,10 @@ def level1_loop_functional(
 # the antisymmetrized mixed-partial map (group cochains -> algebra cochains)
 
 
-def mixed_partial(f: Callable[[float, float], float], step: float = 1e-3) -> float:
-    """[d^2 f / da db]_(0, 0) by the fourth-order central stencil in each
-    variable."""
+def mixed_partial(f: Callable[[float, float], float]) -> float:
+    """[d^2 f / da db]_(0, 0) by the fourth-order central stencil of step
+    ``STENCIL_STEP`` in each variable."""
+    step = STENCIL_STEP
     offsets = (-2.0 * step, -step, step, 2.0 * step)
     weights = (1.0, -8.0, 8.0, -1.0)
     total = 0.0
@@ -336,7 +323,6 @@ def antisymmetrized_mixed_partial(
     c: Callable[[float, object, float, object], float],
     xi1,
     xi2,
-    step: float = 1e-3,
 ) -> float:
     """[d^2/dy1 dy2 (c(e^{y1 xi1}, e^{y2 xi2}) - c(e^{y2 xi2}, e^{y1 xi1}))]_0.
 
@@ -344,15 +330,14 @@ def antisymmetrized_mixed_partial(
     evaluate the underlying two-argument functional on the scaled exponential
     paths.
     """
-    return mixed_partial(lambda a, b: c(a, xi1, b, xi2) - c(b, xi2, a, xi1), step)
+    return mixed_partial(lambda a, b: c(a, xi1, b, xi2) - c(b, xi2, a, xi1))
 
 
-def closed_form_mixed_partial(xi1: LoopElement, xi2: LoopElement, nodes: int | None = None) -> float:
+def closed_form_mixed_partial(xi1: LoopElement, xi2: LoopElement) -> float:
     """(-1/(128 pi^2)) sum_tau sgn(tau) int_0^1 (xi1')_{tau(1)tau(2)}
     (xi2)_{tau(3)tau(4)} dtheta: the expected mixed partial of the level-2
     loop functional."""
-    if nodes is None:
-        nodes = 4 * (xi1.max_frequency + xi2.max_frequency) + 8
+    nodes = 4 * (xi1.max_frequency + xi2.max_frequency) + 8
     d1 = xi1.derivative()
     total = 0.0
     for i in range(nodes):

@@ -5,9 +5,9 @@ vectors on a product G^r are kept in left trivialization throughout: a frame
 stores the algebra elements (xi_1, ..., xi_r) and the actual tangent vector
 at (h_1, ..., h_r) is (h_1 xi_1, ..., h_r xi_r).
 
-``exp_alg``, ``log_grp`` and ``skew_project`` take an (n, n) matrix or a
-stack of shape (..., n, n), and map a stack matrix by matrix; each result
-matrix is bit-identical to the call on that matrix alone.
+``exp_alg``, ``log_grp``, ``skew_project`` and ``trivialized_difference``
+take (n, n) matrices or stacks of shape (..., n, n), and map a stack matrix by
+matrix; each result matrix is bit-identical to the call on that matrix alone.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ from typing import Sequence
 import numpy as np
 from scipy.linalg import expm
 
-ORTHO_TOL = 1e-12
 LOG_ANGLE_MARGIN = 1e-6
 
 
@@ -27,7 +26,7 @@ class DomainError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# validation / projection
+# projection and left-trivialized differences
 
 
 def skew_project(m: np.ndarray) -> np.ndarray:
@@ -37,36 +36,13 @@ def skew_project(m: np.ndarray) -> np.ndarray:
     return 0.5 * (m - m.swapaxes(-1, -2))
 
 
-def require_skew(m: np.ndarray) -> np.ndarray:
-    m = np.asarray(m, dtype=float)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {m.shape}")
-    s = m + m.T
-    if np.any(s != 0.0):
-        i, j = np.unravel_index(np.argmax(np.abs(s)), s.shape)
-        raise ValueError(
-            f"matrix is not skew-symmetric: entry ({i + 1},{j + 1}) "
-            f"violates m + m.T = 0 by {s[i, j]:.3e}"
-        )
-    return m
-
-
-def require_group_point(g: np.ndarray, tol: float = ORTHO_TOL) -> np.ndarray:
-    """Validate membership in SO(n) within ``tol`` (max-norm of g.T g - I)."""
-    g = np.asarray(g, dtype=float)
-    if g.ndim != 2 or g.shape[0] != g.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {g.shape}")
-    defect = g.T @ g - np.eye(g.shape[0])
-    err = np.abs(defect)
-    if err.max() >= tol:
-        i, j = np.unravel_index(np.argmax(err), err.shape)
-        raise ValueError(
-            f"matrix is not orthogonal within {tol:g}: entry ({i + 1},{j + 1}) "
-            f"of g.T g - I is {defect[i, j]:.3e}"
-        )
-    if np.linalg.det(g) <= 0:
-        raise ValueError("matrix has non-positive determinant; not in SO(n)")
-    return g
+def trivialized_difference(
+    base: np.ndarray, plus: np.ndarray, minus: np.ndarray, step: float
+) -> np.ndarray:
+    """Left-trivialized central difference of a group-valued curve through
+    ``base``, from its values ``plus`` and ``minus`` at +-``step``:
+    skew_project(base^T (plus - minus) / (2 step))."""
+    return skew_project(base.swapaxes(-1, -2) @ ((plus - minus) / (2.0 * step)))
 
 
 # ---------------------------------------------------------------------------
@@ -78,20 +54,20 @@ def exp_alg(xi: np.ndarray) -> np.ndarray:
     return expm(np.asarray(xi, dtype=float))
 
 
-def log_grp(g: np.ndarray, margin: float = LOG_ANGLE_MARGIN) -> np.ndarray:
+def log_grp(g: np.ndarray) -> np.ndarray:
     """Principal logarithm SO(n) -> so(n).
 
     Requires every rotation angle, of every matrix in a stack, to stay at
-    least ``margin`` away from pi; otherwise the principal branch is
+    least ``LOG_ANGLE_MARGIN`` away from pi; otherwise the principal branch is
     ill-conditioned and a DomainError is raised.  Orthogonal matrices are
     normal, so the log is taken through a (unitary) eigendecomposition.
     """
     g = np.asarray(g, dtype=float)
     lam, vec = np.linalg.eig(g)
     worst = float(np.abs(np.angle(lam)).max(initial=0.0))
-    if worst > np.pi - margin:
+    if worst > np.pi - LOG_ANGLE_MARGIN:
         raise DomainError(
-            f"rotation angle {worst:.8f} is within {margin:g} of pi; "
+            f"rotation angle {worst:.8f} is within {LOG_ANGLE_MARGIN:g} of pi; "
             "outside the principal-logarithm domain"
         )
     w = np.log(lam)
@@ -224,18 +200,3 @@ def frame_bracket(v: TangentFrame, w: TangentFrame) -> TangentFrame:
 
 def random_frame(level: int, n: int, rng: np.random.Generator, norm: float = 1.0) -> TangentFrame:
     return TangentFrame(n=n, components=tuple(random_skew(n, rng, norm=norm) for _ in range(level)))
-
-
-# ---------------------------------------------------------------------------
-# JSON serialization of matrices (arrays of row arrays)
-
-
-def matrix_to_json(m: np.ndarray) -> list[list[float]]:
-    return [[float(x) for x in row] for row in np.asarray(m, dtype=float)]
-
-
-def matrix_from_json(rows: Sequence[Sequence[float]]) -> np.ndarray:
-    m = np.asarray(rows, dtype=float)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError(f"expected a square row-array matrix, got shape {m.shape}")
-    return m

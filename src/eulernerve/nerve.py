@@ -113,24 +113,11 @@ class Cochain:
 class ResidualReport:
     """Outcome of a total-cocycle check."""
 
-    tolerance: float
-    sample_count: int
     max_residual: float
     bidegree_residuals: dict[str, float]
     sign_assignment: dict[str, int] | None
     consistent_assignments: int
     passed: bool
-
-    def to_json(self) -> dict:
-        return {
-            "tolerance": self.tolerance,
-            "sample_count": self.sample_count,
-            "max_residual": self.max_residual,
-            "bidegree_residuals": self.bidegree_residuals,
-            "sign_assignment": self.sign_assignment,
-            "consistent_assignments": self.consistent_assignments,
-            "pass": self.passed,
-        }
 
 
 def verify_total_cocycle(
@@ -141,7 +128,6 @@ def verify_total_cocycle(
     rng: np.random.Generator,
     point_sampler: Callable[[int, np.random.Generator], NervePoint],
     frame_norm: float = 1.0,
-    fd_step: float = 1e-4,
 ) -> ResidualReport:
     """Sample the components of (d' + d'') applied to the cochain.
 
@@ -166,7 +152,7 @@ def verify_total_cocycle(
         if (R - 1, S) in comps:
             parts.append(((R - 1, S), d_prime(comps[(R - 1, S)])))
         if (R, S - 1) in comps:
-            parts.append(((R, S - 1), d_second(comps[(R, S - 1)], step=fd_step)))
+            parts.append(((R, S - 1), d_second(comps[(R, S - 1)])))
         contributions[(R, S)] = parts
 
     values: dict[tuple[int, int], list[dict[tuple[int, int], float]]] = {
@@ -204,8 +190,6 @@ def verify_total_cocycle(
                 assignment = {f"{k[0]},{k[1]}": signs[k] for k in keys}
 
     return ResidualReport(
-        tolerance=tol,
-        sample_count=samples,
         max_residual=base_max,
         bidegree_residuals=base_per,
         sign_assignment=assignment,

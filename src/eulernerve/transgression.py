@@ -35,13 +35,16 @@ from .matgroup import (
     nerve_point,
     random_frame,
     sample_near_identity,
-    skew_project,
     tangent_frame,
+    trivialized_difference,
 )
 from .nerve import d_prime, d_second
 from .simplex import quadrature_rule
 
 _APEX_EPS = 1e-13
+# central-difference steps: the tangents of the level maps, and d'' of eta_0
+FD_STEP = 1e-4
+D2_STEP = 1e-3
 
 
 def contraction(l: int, t: Sequence[float], hs: Sequence[np.ndarray]) -> np.ndarray:
@@ -91,30 +94,23 @@ def level_map(m: int, q: int, t: Sequence[float], hs: Sequence[np.ndarray]) -> N
     return nerve_point(comps, n=hs[0].shape[0])
 
 
-def _trivialized_fd(base: np.ndarray, plus: np.ndarray, minus: np.ndarray, h: float) -> np.ndarray:
-    """Left-trivialized central difference on stacks of shape (..., n, n)."""
-    diff = (plus - minus) / (2.0 * h)
-    return skew_project(base.swapaxes(-1, -2) @ diff)
-
-
 def transgression_form(
     mu: FormEvaluator,
     m: int,
     q: int,
     *,
     quad_order: int = 8,
-    fd_step: float = 1e-4,
     scale: float = 1.0,
 ) -> FormEvaluator:
     """beta_{m,q} = (-1)^m int_{Delta^q} f_{m,q}^* mu on U^{m+q-1}.
 
     Simplex-direction and U-direction tangents of the level map are pushed
-    through sigma by central finite differences and left-trivialized.  One
-    evaluation contracts all quadrature nodes of the rule in one batched call
-    per perturbation direction (the base point, +-fd_step along each simplex
-    direction, +-fd_step along each frame), and sums mu over the nodes in the
-    rule's order.  The result equals the per-node evaluation of the level map
-    bit for bit.
+    through sigma by central finite differences of step ``FD_STEP`` and
+    left-trivialized.  One evaluation contracts all quadrature nodes of the
+    rule in one batched call per perturbation direction (the base point,
+    +-FD_STEP along each simplex direction, +-FD_STEP along each frame), and
+    sums mu over the nodes in the rule's order.  The result equals the
+    per-node evaluation of the level map bit for bit.
     """
     if mu.level != m:
         raise ValueError(f"mu has level {mu.level}, expected {m}")
@@ -130,7 +126,7 @@ def transgression_form(
     shifted = []
     for a in range(1, q + 1):
         step = np.zeros(q + 1)
-        step[[0, a]] = -fd_step, fd_step
+        step[[0, a]] = -FD_STEP, FD_STEP
         shifted.append((nodes + step, nodes - step))
 
     def contract_nodes(t: np.ndarray, hs: np.ndarray) -> np.ndarray:
@@ -145,19 +141,20 @@ def transgression_form(
         base = contract_nodes(nodes, hs)
         # per direction: tangents of the passed-through slots (the same at
         # every node) and of the contracted slot (one per node)
-        still = _trivialized_fd(kept, kept, kept, fd_step)
+        still = trivialized_difference(kept, kept, kept, FD_STEP)
         directions = [
-            (still, _trivialized_fd(base, contract_nodes(tp, hs), contract_nodes(tm, hs), fd_step))
+            (still, trivialized_difference(base, contract_nodes(tp, hs),
+                                           contract_nodes(tm, hs), FD_STEP))
             for tp, tm in shifted
         ]
         for v in frames:
             xi = np.stack(v.components)
-            hp = hs @ exp_alg(fd_step * xi)
-            hm = hs @ exp_alg(-fd_step * xi)
+            hp = hs @ exp_alg(FD_STEP * xi)
+            hm = hs @ exp_alg(-FD_STEP * xi)
             directions.append((
-                _trivialized_fd(kept, hp[: m - 1], hm[: m - 1], fd_step),
-                _trivialized_fd(
-                    base, contract_nodes(nodes, hp), contract_nodes(nodes, hm), fd_step
+                trivialized_difference(kept, hp[: m - 1], hm[: m - 1], FD_STEP),
+                trivialized_difference(
+                    base, contract_nodes(nodes, hp), contract_nodes(nodes, hm), FD_STEP
                 ),
             ))
         total = 0.0
@@ -181,23 +178,16 @@ class LocalCochain:
     eta1: FormEvaluator
 
 
-def local_cochain(
-    *,
-    quad_order: int = 8,
-    fd_step: float = 1e-4,
-    beta21_scale: float = 1.0,
-) -> LocalCochain:
+def local_cochain(*, quad_order: int = 8, beta21_scale: float = 1.0) -> LocalCochain:
     from .euler import builtin_cocycle
 
     comps = builtin_cocycle(4).components
     mu1 = comps[(1, 3)]
     mu2 = comps[(2, 2)]
-    beta22 = transgression_form(mu2, 2, 2, quad_order=quad_order, fd_step=fd_step)
-    beta13 = transgression_form(mu1, 1, 3, quad_order=quad_order, fd_step=fd_step)
-    beta21 = transgression_form(
-        mu2, 2, 1, quad_order=quad_order, fd_step=fd_step, scale=beta21_scale
-    )
-    beta12 = transgression_form(mu1, 1, 2, quad_order=quad_order, fd_step=fd_step)
+    beta22 = transgression_form(mu2, 2, 2, quad_order=quad_order)
+    beta13 = transgression_form(mu1, 1, 3, quad_order=quad_order)
+    beta21 = transgression_form(mu2, 2, 1, quad_order=quad_order, scale=beta21_scale)
+    beta12 = transgression_form(mu1, 1, 2, quad_order=quad_order)
     return LocalCochain(eta0=add_forms(beta22, beta13), eta1=add_forms(beta21, beta12))
 
 
@@ -206,29 +196,13 @@ class TransgressionReport:
     eta0_residual: float
     eta1_residual: float
     quad_convergence: float
-    tolerance: float
-    sample_count: int
-    passed: bool
-
-    def to_json(self) -> dict:
-        return {
-            "eta0_residual": float(self.eta0_residual),
-            "eta1_residual": float(self.eta1_residual),
-            "quad_convergence": float(self.quad_convergence),
-            "tolerance": float(self.tolerance),
-            "sample_count": int(self.sample_count),
-            "pass": bool(self.passed),
-        }
 
 
 def truncated_cocycle_report(
     *,
     samples: int = 10,
-    tol: float = 1e-3,
     radius: float = 0.1,
     quad_order: int = 8,
-    fd_step: float = 1e-4,
-    d2_step: float = 1e-3,
     rng: np.random.Generator,
     beta21_scale: float = 1.0,
     check_convergence: bool = True,
@@ -238,9 +212,9 @@ def truncated_cocycle_report(
     Degree-0 component on U^4: the simplicial differential of eta_0.
     Degree-1 component on U^3: d' eta_1 + d'' eta_0.
     """
-    lc = local_cochain(quad_order=quad_order, fd_step=fd_step, beta21_scale=beta21_scale)
+    lc = local_cochain(quad_order=quad_order, beta21_scale=beta21_scale)
     eq0 = d_prime(lc.eta0)
-    eq1 = add_forms(d_prime(lc.eta1), d_second(lc.eta0, step=d2_step))
+    eq1 = add_forms(d_prime(lc.eta1), d_second(lc.eta0, step=D2_STEP))
 
     def sample_point(level):
         return nerve_point(
@@ -261,8 +235,8 @@ def truncated_cocycle_report(
         from .euler import builtin_cocycle
 
         mu2 = builtin_cocycle(4).components[(2, 2)]
-        b_lo = transgression_form(mu2, 2, 1, quad_order=quad_order, fd_step=fd_step)
-        b_hi = transgression_form(mu2, 2, 1, quad_order=2 * quad_order, fd_step=fd_step)
+        b_lo = transgression_form(mu2, 2, 1, quad_order=quad_order)
+        b_hi = transgression_form(mu2, 2, 1, quad_order=2 * quad_order)
         p2 = sample_point(2)
         v = (random_frame(2, 4, rng),)
         conv = abs(b_lo.fn(p2, v) - b_hi.fn(p2, v))
@@ -271,7 +245,4 @@ def truncated_cocycle_report(
         eta0_residual=float(r0),
         eta1_residual=float(r1),
         quad_convergence=float(conv),
-        tolerance=tol,
-        sample_count=samples,
-        passed=bool(r0 < tol and r1 < tol),
     )

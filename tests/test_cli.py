@@ -2,10 +2,15 @@ import json
 
 import pytest
 
-from eulernerve.cli import SCHEMA_VERSION, main
+from eulernerve.cli import SCHEMA_VERSION, SUITES, main
 
 TRANSGRESS = ["transgress", "--samples", "1", "--quad-order", "2", "--seed", "3"]
 
+STRUCTURE_CHECKS = [
+    "Maurer-Cartan (left)", "Maurer-Cartan (right)", "d o d",
+    "simplicial identities (points)", "simplicial identities (pushforwards)",
+    "face pushforward vs finite differences", "d' o d'", "d' d'' + d'' d'",
+]
 FAST_SUITES = [
     (["verify-euler", "--n", "2"],
      ["total-cocycle residual at (1,2)", "total-cocycle residual at (2,1)",
@@ -13,22 +18,37 @@ FAST_SUITES = [
     (["verify-euler", "--n", "4"],
      ["total-cocycle residual at (1,4)", "total-cocycle residual at (2,3)",
       "total-cocycle residual at (3,2)", "unique sign assignment"]),
+    (["verify-euler", "--n", "6", "--samples", "1"],
+     ["total-cocycle residual at (1,6)", "total-cocycle residual at (2,5)",
+      "total-cocycle residual at (3,4)", "total-cocycle residual at (4,3)",
+      "unique sign assignment"]),
     (["verify-generator", "--p", "2"],
      ["generator vs transcription (p=1, q=0)", "generator vs transcription (p=2, q=0)",
       "generator vs transcription (p=2, q=1)"]),
+    (["verify-generator", "--p", "3", "--samples", "2"],
+     [f"generator vs transcription (p={p}, q={q})" for p in (1, 2, 3) for q in range(p)]),
     (["pfaffian", "--n", "4", "--trials", "5"],
      ["pfaffian^2 = det (relative)", "conjugation invariance (relative)"]),
+    (["pfaffian", "--n", "6", "--trials", "5"],
+     ["pfaffian^2 = det (relative)", "conjugation invariance (relative)"]),
     (["euler-number"], ["winding 2"]),
-    (["structure-tests", "--n", "2", "--samples", "1"],
-     ["Maurer-Cartan (left)", "Maurer-Cartan (right)", "d o d",
-      "simplicial identities (points)", "simplicial identities (pushforwards)",
-      "face pushforward vs finite differences", "d' o d'", "d' d'' + d'' d'"]),
+    (["structure-tests", "--n", "2", "--samples", "1"], STRUCTURE_CHECKS),
+    (["structure-tests", "--n", "4", "--samples", "1"], STRUCTURE_CHECKS),
+    (["structure-tests", "--n", "6", "--samples", "1"], STRUCTURE_CHECKS),
 ]
+# Suites with no case above, and why.  TRANSGRESS covers transgress.
+SLOW_SUITES = {
+    "loop-cocycle": "about 100 s per run until its loop functionals are batched",
+}
 # arguments outside what a suite accepts, and the option the message names
 BAD_ARGUMENTS = [
     (["structure-tests", "--workers", "2"], "--workers"),
     (["verify-generator", "--p", "4"], "--p"),
     (["euler-number", "--steps", "10"], "--steps"),
+    (["pfaffian", "--samples", "3"], "--samples"),
+    (["euler-number", "--samples", "3"], "--samples"),
+    (["loop-cocycle", "--samples", "3"], "--samples"),
+    (["verify-euler", "--fd-step", "1e-3"], "--fd-step"),
 ]
 
 
@@ -65,6 +85,12 @@ def test_no_arguments_exits_2(capsys):
     assert main([]) == 2
 
 
+def test_every_suite_runs_under_test():
+    covered = {argv[0] for argv, _ in FAST_SUITES} | {TRANSGRESS[0]}
+    assert covered | set(SLOW_SUITES) == set(SUITES)
+    assert not covered & set(SLOW_SUITES)
+
+
 @pytest.mark.parametrize("argv, names", FAST_SUITES, ids=argv_id(FAST_SUITES))
 def test_fast_suites_pass(argv, names, tmp_path):
     code, report = run_report(argv, tmp_path / "report.json")
@@ -87,4 +113,14 @@ def test_bad_arguments_exit_2(argv, option, tmp_path, capsys):
     path = tmp_path / "report.json"
     assert main([*argv, "--out", str(path)]) == 2
     assert option in capsys.readouterr().err
+    assert not path.exists()
+
+
+@pytest.mark.parametrize("seed", ["abc", "-3"])
+def test_bad_env_seed_exits_2(seed, monkeypatch, tmp_path, capsys):
+    monkeypatch.setenv("NERVE_EULER_SEED", seed)
+    path = tmp_path / "report.json"
+    assert main(["euler-number", "--out", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and seed in err
     assert not path.exists()

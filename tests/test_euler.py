@@ -99,6 +99,17 @@ def test_pfaffian_rejects_odd_dimension():
         euler_pfaffian(np.zeros((3, 3)))
 
 
+@pytest.mark.parametrize("p", [1, 2, 3])
+def test_pfaffian_contraction_on_stacks(p, rng):
+    mats = [rng.standard_normal((5, 2 * p, 2 * p)) for _ in range(p)]
+    stacked = pfaffian_contraction(mats)
+    assert stacked.shape == (5,)
+    single = [pfaffian_contraction([m[r] for m in mats]) for r in range(5)]
+    np.testing.assert_allclose(stacked, single, rtol=1e-12, atol=1e-12)
+    with pytest.raises(ValueError):
+        pfaffian_contraction([np.zeros((5, 2 * p + 1, 2 * p + 1))] * p)
+
+
 # ---------------------------------------------------------------------------
 # generated components: coefficients
 

@@ -229,13 +229,3 @@ def test_cochain_validates_bidegrees():
     bad = builtin_cocycle(4).components[(1, 3)]
     with pytest.raises(ValueError):
         Cochain(n=4, components={(2, 2): bad})
-
-
-def test_report_json_roundtrip(rng):
-    report = verify_total_cocycle(
-        builtin_cocycle(2), samples=2, tol=1e-6, rng=rng, point_sampler=haar_sampler(2)
-    )
-    import json
-
-    blob = json.dumps(report.to_json())
-    assert json.loads(blob)["pass"] is True

@@ -28,7 +28,6 @@ from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, permutations, product
 
 import numpy as np
-from scipy.linalg import expm
 
 from .forms import (
     Factor,
@@ -53,6 +52,7 @@ from .matgroup import (
     NervePoint,
     TangentFrame,
     adjoint,
+    exp_alg,
     nerve_point,
     random_skew,
     sample_haar,
@@ -300,8 +300,8 @@ def phi_pullback_variants(
         lhs = generator_value(phi(s), point, frame)
 
         # finite-difference check of the exact pushforward through gamma
-        moved_p = bundle_projection([g @ expm(step * x) for g, x in zip(gs, xis)])
-        moved_m = bundle_projection([g @ expm(-step * x) for g, x in zip(gs, xis)])
+        moved_p = bundle_projection([g @ exp_alg(step * x) for g, x in zip(gs, xis)])
+        moved_m = bundle_projection([g @ exp_alg(-step * x) for g, x in zip(gs, xis)])
         for m in range(q):
             fd = trivialized_difference(
                 point.components[m], moved_p.components[m], moved_m.components[m], step
@@ -320,7 +320,7 @@ def phi_pullback_variants(
 # JSON term export
 
 
-def words_to_json(level: int, n: int, words: list[WordForm]) -> list[dict]:
+def words_to_json(n: int, words: list[WordForm]) -> list[dict]:
     """Expand the tau-sums of the words into explicit scalar terms."""
     table, signs = perm_table(n)
     out = []
@@ -331,9 +331,10 @@ def words_to_json(level: int, n: int, words: list[WordForm]) -> list[dict]:
                 entry = [int(row[2 * i] + 1), int(row[2 * i + 1] + 1)]
                 factors.append(
                     {
-                        "generator": _combo_json(f.a),
+                        "generator": _generator_json(f.a),
                         "square": f.degree == 2,
-                        **({"second": _combo_json(f.b)} if f.b is not None and f.b != f.a else {}),
+                        **({"second": _generator_json(f.b)}
+                           if f.b is not None and f.b != f.a else {}),
                         "entry": entry,
                     }
                 )
@@ -341,14 +342,14 @@ def words_to_json(level: int, n: int, words: list[WordForm]) -> list[dict]:
     return out
 
 
-def _combo_json(c) -> list[dict]:
+def _generator_json(g) -> list[dict]:
+    """One generator as the one-term list of the export format."""
     return [
         {
             "kind": g.kind,
             "slot": g.slot,
             **({"start": g.start} if g.kind in ("conj_rmc", "sumphi") else {}),
             **({"stop": g.stop} if g.kind == "sumphi" else {}),
-            "coeff": coeff,
+            "coeff": 1.0,
         }
-        for coeff, g in c
     ]

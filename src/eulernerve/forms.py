@@ -10,7 +10,12 @@ Conventions, used consistently across the package:
 * a scalar form of interest is a sum over tau in S_{2p} of sgn(tau) times a
   word of matrix entries, factor i reading its entry pair at positions
   (tau(2i-1), tau(2i)).  Words carry the coefficient, the factors carry the
-  matrix-valued forms.
+  generators: one generator for an entry of a 1-form, two for an entry of
+  their wedge product;
+* a sum of words is evaluated from a table built once per sum (see
+  WordSumEvaluator): its distinct letters (generator, frame index), its
+  distinct factor entries and an index array giving every (word, shuffle)
+  row's factors, which one Pfaffian contraction then sums.
 """
 
 from __future__ import annotations
@@ -98,21 +103,6 @@ def generator_value(gen: Generator, p: NervePoint, v: TangentFrame) -> np.ndarra
     raise ValueError(f"unknown generator kind {gen.kind!r}")
 
 
-Combo = tuple[tuple[float, Generator], ...]
-
-
-def single(gen: Generator) -> Combo:
-    return ((1.0, gen),)
-
-
-def combo_value(c: Combo, p: NervePoint, v: TangentFrame) -> np.ndarray:
-    total = None
-    for coeff, gen in c:
-        val = coeff * generator_value(gen, p, v)
-        total = val if total is None else total + val
-    return total
-
-
 # ---------------------------------------------------------------------------
 # words
 
@@ -122,28 +112,24 @@ class Factor:
     """Scalar-form factor of a word: an entry of ``a`` (degree 1) or of the
     wedge product ``a ^ b`` (degree 2, matrix product with wedged entries)."""
 
-    a: Combo
-    b: Combo | None = None
+    a: Generator
+    b: Generator | None = None
 
     @property
     def degree(self) -> int:
         return 1 if self.b is None else 2
 
 
-def lin(gen_or_combo) -> Factor:
-    c = single(gen_or_combo) if isinstance(gen_or_combo, Generator) else gen_or_combo
-    return Factor(a=c)
+def lin(gen: Generator) -> Factor:
+    return Factor(a=gen)
 
 
-def square(gen_or_combo) -> Factor:
-    c = single(gen_or_combo) if isinstance(gen_or_combo, Generator) else gen_or_combo
-    return Factor(a=c, b=c)
+def square(gen: Generator) -> Factor:
+    return Factor(a=gen, b=gen)
 
 
-def wedge2(x, y) -> Factor:
-    cx = single(x) if isinstance(x, Generator) else x
-    cy = single(y) if isinstance(y, Generator) else y
-    return Factor(a=cx, b=cy)
+def wedge2(x: Generator, y: Generator) -> Factor:
+    return Factor(a=x, b=y)
 
 
 @dataclass(frozen=True)
@@ -282,6 +268,14 @@ class WordSumEvaluator:
 
     All words must have the same number of factors p with n = 2p, so every
     word is contracted against the same S_{2p} permutation table.
+
+    The sum is a fixed table, built once from the words.  Each row is one
+    (word, shuffle) pair with coefficient * sgn(shuffle); its p factor
+    matrices are picked from the distinct entries by an (rows, p) index
+    array.  An entry is a letter, one generator on one frame, or the wedge
+    a(X_i) b(X_j) - a(X_j) b(X_i) of two generators on frames i, j.  A call
+    evaluates each distinct letter once, computes each distinct entry once,
+    gathers the rows with one fancy index and contracts them.
     """
 
     def __init__(self, level: int, n: int, words: Sequence[WordForm]):
@@ -298,45 +292,42 @@ class WordSumEvaluator:
         self.n = n
         self.degree = degree
         self.words = words
-        # rows: one per (word, shuffle); precompute coefficients and the
-        # (combo-a, combo-b, frame-index assignment) recipe per row factor
-        self._rows = []
+        # letters: (generator, frame index); entries: (letter,) or the four
+        # letters (a_i, b_j, a_j, b_i) of a wedge; both numbered by first use
+        letters: dict[tuple[Generator, int], int] = {}
+        entries: dict[tuple[int, ...], int] = {}
+
+        def letter(gen: Generator, j: int) -> int:
+            return letters.setdefault((gen, j), len(letters))
+
+        index = []
         coeffs = []
         for w in words:
             degs = tuple(f.degree for f in w.factors)
             for sign, blocks in shuffle_table(degs):
-                recipe = []
+                row = []
                 for f, block in zip(w.factors, blocks):
-                    if f.degree == 1:
-                        recipe.append((f.a, None, block[0], -1))
+                    if f.b is None:
+                        key = (letter(f.a, block[0]),)
                     else:
-                        recipe.append((f.a, f.b, block[0], block[1]))
-                self._rows.append(tuple(recipe))
+                        i, j = block
+                        key = (letter(f.a, i), letter(f.b, j), letter(f.a, j), letter(f.b, i))
+                    row.append(entries.setdefault(key, len(entries)))
+                index.append(row)
                 coeffs.append(w.coefficient * sign)
+        self._letters = tuple(letters)
+        self._entries = tuple(entries)
+        self._index = np.array(index, dtype=np.intp)
         self._coeffs = np.array(coeffs)
 
     def __call__(self, p: NervePoint, frames: Sequence[TangentFrame]) -> float:
-        n = self.n
-        nfac = n // 2
-        cache: dict[tuple, np.ndarray] = {}
-
-        def cval(c: Combo, j: int) -> np.ndarray:
-            key = (c, j)
-            got = cache.get(key)
-            if got is None:
-                got = combo_value(c, p, frames[j])
-                cache[key] = got
-            return got
-
-        rows = self._rows
-        mats = np.empty((len(rows), nfac, n, n))
-        for r, recipe in enumerate(rows):
-            for f, (ca, cb, i, j) in enumerate(recipe):
-                if cb is None:
-                    mats[r, f] = cval(ca, i)
-                else:
-                    mats[r, f] = cval(ca, i) @ cval(cb, j) - cval(ca, j) @ cval(cb, i)
-        return float(self._coeffs @ pfaffian_contraction([mats[:, f] for f in range(nfac)]))
+        vals = [generator_value(gen, p, frames[j]) for gen, j in self._letters]
+        table = np.array([
+            vals[e[0]] if len(e) == 1 else vals[e[0]] @ vals[e[1]] - vals[e[2]] @ vals[e[3]]
+            for e in self._entries
+        ])
+        mats = table[self._index]
+        return float(self._coeffs @ pfaffian_contraction([mats[:, f] for f in range(self.n // 2)]))
 
     def as_form(self) -> FormEvaluator:
         return FormEvaluator(self.level, self.degree, self)

@@ -25,10 +25,9 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.linalg import expm
 
 from .euler import builtin_cocycle
-from .matgroup import nerve_point, skew_project, tangent_frame, trivialized_difference
+from .matgroup import exp_alg, nerve_point, skew_project, tangent_frame, trivialized_difference
 from .simplex import quadrature_rule
 
 LEVEL2_LOOP_SCALE = 0.25
@@ -239,10 +238,10 @@ def level2_loop_functional(
     for i in range(theta_nodes):
         theta = i / theta_nodes
         z_of = lambda th: y2 * xi2.value(th)
-        h1_of = lambda th: expm(y1 * xi1.value(th))
+        h1_of = lambda th: exp_alg(y1 * xi1.value(th))
         for node, w in zip(rule.nodes, rule.weights):
             t1 = node[1]
-            h2_of = lambda th: expm(t1 * z_of(th))
+            h2_of = lambda th: exp_alg(t1 * z_of(th))
             h1 = h1_of(theta)
             h2 = h2_of(theta)
             point = nerve_point([h1, h2])
@@ -276,7 +275,8 @@ def level1_loop_functional(
     step = TANGENT_STEP
 
     def point_at(t_vec, th):
-        return expm((1.0 - t_vec[0]) * y1 * xi1.value(th)) @ expm(t_vec[2] * y2 * xi2.value(th))
+        return (exp_alg((1.0 - t_vec[0]) * y1 * xi1.value(th))
+                @ exp_alg(t_vec[2] * y2 * xi2.value(th)))
 
     total = 0.0
     for i in range(theta_nodes):

@@ -186,7 +186,7 @@ def move_point(p: NervePoint, v: TangentFrame, t: float) -> NervePoint:
     """Flow p along the left-invariant extension of v for time t."""
     return NervePoint(
         n=p.n,
-        components=tuple(h @ expm(t * xi) for h, xi in zip(p.components, v.components)),
+        components=tuple(h @ exp_alg(t * xi) for h, xi in zip(p.components, v.components)),
     )
 
 

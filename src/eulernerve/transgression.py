@@ -100,7 +100,6 @@ def transgression_form(
     q: int,
     *,
     quad_order: int = 8,
-    scale: float = 1.0,
 ) -> FormEvaluator:
     """beta_{m,q} = (-1)^m int_{Delta^q} f_{m,q}^* mu on U^{m+q-1}.
 
@@ -165,7 +164,7 @@ def transgression_form(
                 for pushed, contracted in directions
             )
             total += weight * mu.fn(point, tangents)
-        return sign * scale * total
+        return sign * total
 
     return FormEvaluator(level, degree, fn)
 
@@ -178,7 +177,7 @@ class LocalCochain:
     eta1: FormEvaluator
 
 
-def local_cochain(*, quad_order: int = 8, beta21_scale: float = 1.0) -> LocalCochain:
+def local_cochain(*, quad_order: int = 8) -> LocalCochain:
     from .euler import builtin_cocycle
 
     comps = builtin_cocycle(4).components
@@ -186,63 +185,51 @@ def local_cochain(*, quad_order: int = 8, beta21_scale: float = 1.0) -> LocalCoc
     mu2 = comps[(2, 2)]
     beta22 = transgression_form(mu2, 2, 2, quad_order=quad_order)
     beta13 = transgression_form(mu1, 1, 3, quad_order=quad_order)
-    beta21 = transgression_form(mu2, 2, 1, quad_order=quad_order, scale=beta21_scale)
+    beta21 = transgression_form(mu2, 2, 1, quad_order=quad_order)
     beta12 = transgression_form(mu1, 1, 2, quad_order=quad_order)
     return LocalCochain(eta0=add_forms(beta22, beta13), eta1=add_forms(beta21, beta12))
 
 
-@dataclass
-class TransgressionReport:
-    eta0_residual: float
-    eta1_residual: float
-    quad_convergence: float
+def _sample_point(level: int, radius: float, rng: np.random.Generator) -> NervePoint:
+    return nerve_point([sample_near_identity(4, radius, rng) for _ in range(level)], n=4)
 
 
-def truncated_cocycle_report(
+def truncated_cocycle_residuals(
+    lc: LocalCochain,
     *,
     samples: int = 10,
     radius: float = 0.1,
-    quad_order: int = 8,
     rng: np.random.Generator,
-    beta21_scale: float = 1.0,
-    check_convergence: bool = True,
-) -> TransgressionReport:
-    """Sample the two surviving components of the total differential of eta.
+) -> tuple[float, float]:
+    """Sample the two surviving components of the total differential of eta
+    and return the largest |value| of each:
 
-    Degree-0 component on U^4: the simplicial differential of eta_0.
-    Degree-1 component on U^3: d' eta_1 + d'' eta_0.
+    degree 0 on U^4, the simplicial differential d' eta_0;
+    degree 1 on U^3, d' eta_1 + d'' eta_0.
     """
-    lc = local_cochain(quad_order=quad_order, beta21_scale=beta21_scale)
     eq0 = d_prime(lc.eta0)
     eq1 = add_forms(d_prime(lc.eta1), d_second(lc.eta0, step=D2_STEP))
-
-    def sample_point(level):
-        return nerve_point(
-            [sample_near_identity(4, radius, rng) for _ in range(level)], n=4
-        )
-
     r0 = 0.0
     r1 = 0.0
     for _ in range(samples):
-        p4 = sample_point(4)
+        p4 = _sample_point(4, radius, rng)
         r0 = max(r0, abs(eq0.fn(p4, ())))
-        p3 = sample_point(3)
+        p3 = _sample_point(3, radius, rng)
         frame = (random_frame(3, 4, rng),)
         r1 = max(r1, abs(eq1.fn(p3, frame)))
+    return float(r0), float(r1)
 
-    conv = 0.0
-    if check_convergence:
-        from .euler import builtin_cocycle
 
-        mu2 = builtin_cocycle(4).components[(2, 2)]
-        b_lo = transgression_form(mu2, 2, 1, quad_order=quad_order)
-        b_hi = transgression_form(mu2, 2, 1, quad_order=2 * quad_order)
-        p2 = sample_point(2)
-        v = (random_frame(2, 4, rng),)
-        conv = abs(b_lo.fn(p2, v) - b_hi.fn(p2, v))
+def quadrature_drift(
+    *, radius: float = 0.1, quad_order: int = 8, rng: np.random.Generator
+) -> float:
+    """|beta_{2,1}| change when the quadrature order doubles, at one sampled
+    point and frame."""
+    from .euler import builtin_cocycle
 
-    return TransgressionReport(
-        eta0_residual=float(r0),
-        eta1_residual=float(r1),
-        quad_convergence=float(conv),
-    )
+    mu2 = builtin_cocycle(4).components[(2, 2)]
+    b_lo = transgression_form(mu2, 2, 1, quad_order=quad_order)
+    b_hi = transgression_form(mu2, 2, 1, quad_order=2 * quad_order)
+    p2 = _sample_point(2, radius, rng)
+    v = (random_frame(2, 4, rng),)
+    return float(abs(b_lo.fn(p2, v) - b_hi.fn(p2, v)))

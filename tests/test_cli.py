@@ -124,3 +124,22 @@ def test_bad_env_seed_exits_2(seed, monkeypatch, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and seed in err
     assert not path.exists()
+
+
+def test_verify_euler_exports_terms(tmp_path):
+    path = tmp_path / "terms.json"
+    code, _ = run_report(
+        ["verify-euler", "--n", "4", "--samples", "1", "--export-terms", str(path)],
+        tmp_path / "report.json",
+    )
+    assert code == 0
+    with open(path) as fh:
+        exported = json.load(fh)
+    assert [c["bidegree"] for c in exported] == [[1, 3], [2, 2]]
+    for component in exported:
+        # 2 words x |S_4| expanded terms
+        assert len(component["terms"]) == 48
+        for term in component["terms"]:
+            for factor in term["factors"]:
+                gens = [factor[key] for key in ("generator", "second") if key in factor]
+                assert all(len(g) == 1 and g[0]["coeff"] == 1.0 for g in gens)

@@ -168,7 +168,7 @@ def test_edge_and_diagonal_are_special_cases():
         words = euler_component_words(p, 0).words
         assert len(words) == math.factorial(p)
         for w in words:
-            order = [f.a[0][1].slot - 1 for f in w.factors]
+            order = [f.a.slot - 1 for f in w.factors]
             sign = round(np.linalg.det(np.eye(p)[order]))
             assert w.rational == sign * diagonal, (p, order)
 
@@ -229,7 +229,7 @@ def test_projection_point(rng):
 
 def test_words_to_json_counts():
     words = euler_component_words(2, 1).words
-    terms = words_to_json(1, 4, list(words))
+    terms = words_to_json(4, list(words))
     # 2 words x |S_4| expanded terms
     assert len(terms) == 2 * 24
     sample = terms[0]

@@ -3,16 +3,20 @@ import pytest
 from hypothesis import given, strategies as st
 from scipy.linalg import expm
 
+from eulernerve.euler import builtin_cocycle, euler_component
 from eulernerve.forms import (
     FormEvaluator,
+    WordSumEvaluator,
     evaluate_word,
     exterior_derivative,
     generator_value,
     lin,
     lmc,
     perm_table,
+    pfaffian_contraction,
     phi,
     rmc,
+    shuffle_table,
     square,
     sumphi,
     wedge2,
@@ -194,6 +198,52 @@ def test_wedge2_against_manual_shuffle_sum(rng):
         )
         total += sgn * term
     assert val == pytest.approx(total, rel=1e-12)
+
+
+def _row_loop(ev, p, frames):
+    """The word sum built one (word, shuffle) row at a time, every factor
+    evaluated from its generators, then contracted as the evaluator does."""
+    rows = []
+    coeffs = []
+    for w in ev.words:
+        for sign, blocks in shuffle_table(tuple(f.degree for f in w.factors)):
+            row = []
+            for f, block in zip(w.factors, blocks):
+                a_i = generator_value(f.a, p, frames[block[0]])
+                if f.b is None:
+                    row.append(a_i)
+                else:
+                    i, j = block
+                    row.append(
+                        a_i @ generator_value(f.b, p, frames[j])
+                        - generator_value(f.a, p, frames[j]) @ generator_value(f.b, p, frames[i])
+                    )
+            rows.append(row)
+            coeffs.append(w.coefficient * sign)
+    mats = np.array(rows)
+    return float(np.array(coeffs) @ pfaffian_contraction([mats[:, k] for k in range(ev.n // 2)]))
+
+
+@pytest.mark.parametrize("source", ["builtin-2", "builtin-4", "builtin-6",
+                                    "generated-1", "generated-2", "generated-3"])
+def test_factor_table_matches_row_loop(source):
+    # the precomputed factor table must not change a single bit of any
+    # Euler component against building every row on its own
+    kind, size = source.split("-")
+    if kind == "builtin":
+        forms = list(builtin_cocycle(int(size)).components.values())
+    else:
+        forms = [euler_component(int(size), q) for q in range(int(size))]
+    rng = np.random.default_rng(5)
+    for form in forms:
+        ev = form.fn
+        assert isinstance(ev, WordSumEvaluator)
+        for _ in range(2):
+            point = nerve_point([sample_haar(ev.n, rng) for _ in range(ev.level)])
+            frames = tuple(random_frame(ev.level, ev.n, rng) for _ in range(ev.degree))
+            value = ev(point, frames)
+            assert value != 0.0
+            assert value == _row_loop(ev, point, frames)
 
 
 # ---------------------------------------------------------------------------

@@ -34,7 +34,6 @@ from .forms import (
     FormEvaluator,
     WordForm,
     conj_rmc,
-    generator_value,
     lin,
     lmc,
     parity,
@@ -52,12 +51,8 @@ from .matgroup import (
     NervePoint,
     TangentFrame,
     adjoint,
-    exp_alg,
     nerve_point,
-    random_skew,
-    sample_haar,
     tangent_frame,
-    trivialized_difference,
 )
 from .simplex import monomial_integral
 
@@ -274,46 +269,6 @@ def bundle_projection_pushforward(
     Ad(g_m)(xi_{m-1} - xi_m)."""
     comps = [adjoint(gs[m], xis[m - 1] - xis[m]) for m in range(1, len(gs))]
     return tangent_frame(comps, n=gs[0].shape[0])
-
-
-def phi_pullback_variants(
-    s: int,
-    q: int,
-    samples: int,
-    rng: np.random.Generator,
-    n: int = 4,
-) -> dict[str, float]:
-    """Residuals of gamma^* phi_s against the conjugation identity
-    gamma^* phi_s = Ad(g_0)(theta_{s-1} - theta_s), evaluated on the total
-    tangents with theta_i reading slot i ("conj_g0"), and the
-    finite-difference defect of the exact pushforward ("pushforward_fd").
-    """
-    if not 1 <= s <= q:
-        raise ValueError("need 1 <= s <= q")
-    residuals = {"conj_g0": 0.0, "pushforward_fd": 0.0}
-    step = 1e-5
-    for _ in range(samples):
-        gs = [sample_haar(n, rng) for _ in range(q + 1)]
-        xis = [random_skew(n, rng) for _ in range(q + 1)]
-        point = bundle_projection(gs)
-        frame = bundle_projection_pushforward(gs, xis)
-        lhs = generator_value(phi(s), point, frame)
-
-        # finite-difference check of the exact pushforward through gamma
-        moved_p = bundle_projection([g @ exp_alg(step * x) for g, x in zip(gs, xis)])
-        moved_m = bundle_projection([g @ exp_alg(-step * x) for g, x in zip(gs, xis)])
-        for m in range(q):
-            fd = trivialized_difference(
-                point.components[m], moved_p.components[m], moved_m.components[m], step
-            )
-            residuals["pushforward_fd"] = max(
-                residuals["pushforward_fd"],
-                float(np.max(np.abs(fd - frame.components[m]))),
-            )
-
-        rhs = adjoint(gs[0], xis[s - 1] - xis[s])
-        residuals["conj_g0"] = max(residuals["conj_g0"], float(np.max(np.abs(lhs - rhs))))
-    return residuals
 
 
 # ---------------------------------------------------------------------------

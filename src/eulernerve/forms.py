@@ -329,22 +329,10 @@ class WordSumEvaluator:
         mats = table[self._index]
         return float(self._coeffs @ pfaffian_contraction([mats[:, f] for f in range(self.n // 2)]))
 
-    def as_form(self) -> FormEvaluator:
-        return FormEvaluator(self.level, self.degree, self)
-
 
 def word_sum_form(level: int, n: int, words: Sequence[WordForm]) -> FormEvaluator:
-    return WordSumEvaluator(level, n, words).as_form()
-
-
-def evaluate_word(
-    w: WordForm, p: NervePoint, frames: Sequence[TangentFrame]
-) -> float:
-    """Evaluate a single word (with its tau-sum) on the given frames."""
-    ev = WordSumEvaluator(p.level, p.n, [w])
-    if len(frames) != ev.degree:
-        raise ValueError(f"word of degree {ev.degree} got {len(frames)} frames")
-    return ev(p, tuple(frames))
+    ev = WordSumEvaluator(level, n, words)
+    return FormEvaluator(ev.level, ev.degree, ev)
 
 
 # ---------------------------------------------------------------------------

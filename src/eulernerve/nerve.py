@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -24,7 +24,9 @@ from .matgroup import (
     NervePoint,
     TangentFrame,
     adjoint,
+    nerve_point,
     random_frame,
+    sample_haar,
 )
 
 
@@ -126,10 +128,10 @@ def verify_total_cocycle(
     samples: int,
     tol: float,
     rng: np.random.Generator,
-    point_sampler: Callable[[int, np.random.Generator], NervePoint],
     frame_norm: float = 1.0,
 ) -> ResidualReport:
-    """Sample the components of (d' + d'') applied to the cochain.
+    """Sample the components of (d' + d'') applied to the cochain at Haar
+    points of SO(n).
 
     For every adjacent bidegree the two contributions (d' of the component one
     level below, d'' of the component one degree below) are evaluated
@@ -160,7 +162,7 @@ def verify_total_cocycle(
     }
     for _ in range(samples):
         for (R, S), parts in contributions.items():
-            point = point_sampler(R, rng)
+            point = nerve_point([sample_haar(n, rng) for _ in range(R)], n=n)
             frames = tuple(random_frame(R, n, rng, norm=frame_norm) for _ in range(S))
             values[(R, S)].append({src: ev.fn(point, frames) for src, ev in parts})
 

@@ -1,45 +1,17 @@
 import json
 
 import pytest
+from residual_hex import CONFIGS
+from test_checks import NAMES, argv_id
 
-from eulernerve.cli import SCHEMA_VERSION, SUITES, main
+from eulernerve.checks import SUITES
+from eulernerve.cli import SCHEMA_VERSION, main
 
 TRANSGRESS = ["transgress", "--samples", "1", "--quad-order", "2", "--seed", "3"]
 
-STRUCTURE_CHECKS = [
-    "Maurer-Cartan (left)", "Maurer-Cartan (right)", "d o d",
-    "simplicial identities (points)", "simplicial identities (pushforwards)",
-    "face pushforward vs finite differences", "d' o d'", "d' d'' + d'' d'",
-]
-FAST_SUITES = [
-    (["verify-euler", "--n", "2"],
-     ["total-cocycle residual at (1,2)", "total-cocycle residual at (2,1)",
-      "unique sign assignment"]),
-    (["verify-euler", "--n", "4"],
-     ["total-cocycle residual at (1,4)", "total-cocycle residual at (2,3)",
-      "total-cocycle residual at (3,2)", "unique sign assignment"]),
-    (["verify-euler", "--n", "6", "--samples", "1"],
-     ["total-cocycle residual at (1,6)", "total-cocycle residual at (2,5)",
-      "total-cocycle residual at (3,4)", "total-cocycle residual at (4,3)",
-      "unique sign assignment"]),
-    (["verify-generator", "--p", "2"],
-     ["generator vs transcription (p=1, q=0)", "generator vs transcription (p=2, q=0)",
-      "generator vs transcription (p=2, q=1)"]),
-    (["verify-generator", "--p", "3", "--samples", "2"],
-     [f"generator vs transcription (p={p}, q={q})" for p in (1, 2, 3) for q in range(p)]),
-    (["pfaffian", "--n", "4", "--trials", "5"],
-     ["pfaffian^2 = det (relative)", "conjugation invariance (relative)"]),
-    (["pfaffian", "--n", "6", "--trials", "5"],
-     ["pfaffian^2 = det (relative)", "conjugation invariance (relative)"]),
-    (["euler-number"], ["winding 2"]),
-    (["structure-tests", "--n", "2", "--samples", "1"], STRUCTURE_CHECKS),
-    (["structure-tests", "--n", "4", "--samples", "1"], STRUCTURE_CHECKS),
-    (["structure-tests", "--n", "6", "--samples", "1"], STRUCTURE_CHECKS),
-]
-# Suites with no case above, and why.  TRANSGRESS covers transgress.
-SLOW_SUITES = {
-    "loop-cocycle": "about 100 s per run until its loop functionals are batched",
-}
+# every configuration of the table except the loop suite, whose loop
+# functionals take about a minute through main
+CLI_CONFIGS = [argv for argv in CONFIGS if argv[0] != "loop-cocycle"]
 # arguments outside what a suite accepts, and the option the message names
 BAD_ARGUMENTS = [
     (["structure-tests", "--workers", "2"], "--workers"),
@@ -50,10 +22,6 @@ BAD_ARGUMENTS = [
     (["loop-cocycle", "--samples", "3"], "--samples"),
     (["verify-euler", "--fd-step", "1e-3"], "--fd-step"),
 ]
-
-
-def argv_id(cases):
-    return ["_".join(arg.lstrip("-") for arg in argv) for argv, _ in cases]
 
 
 def run_report(argv, path):
@@ -86,17 +54,16 @@ def test_no_arguments_exits_2(capsys):
 
 
 def test_every_suite_runs_under_test():
-    covered = {argv[0] for argv, _ in FAST_SUITES} | {TRANSGRESS[0]}
-    assert covered | set(SLOW_SUITES) == set(SUITES)
-    assert not covered & set(SLOW_SUITES)
+    assert {argv[0] for argv in CLI_CONFIGS} | {"loop-cocycle"} == set(SUITES)
 
 
-@pytest.mark.parametrize("argv, names", FAST_SUITES, ids=argv_id(FAST_SUITES))
-def test_fast_suites_pass(argv, names, tmp_path):
+@pytest.mark.parametrize("argv", CLI_CONFIGS, ids=map(argv_id, CLI_CONFIGS))
+def test_fast_suites_pass(argv, tmp_path):
     code, report = run_report(argv, tmp_path / "report.json")
     assert code == 0
     assert report["schema_version"] == SCHEMA_VERSION
     assert report["pass"] is True
+    names = [name for entry in NAMES[" ".join(argv)] for name in entry]
     assert [c["name"] for c in report["checks"]] == names
 
 
@@ -108,7 +75,8 @@ def test_failed_check_exits_1(tmp_path):
     assert report["pass"] is False
 
 
-@pytest.mark.parametrize("argv, option", BAD_ARGUMENTS, ids=argv_id(BAD_ARGUMENTS))
+@pytest.mark.parametrize("argv, option", BAD_ARGUMENTS,
+                         ids=[argv_id(argv) for argv, _ in BAD_ARGUMENTS])
 def test_bad_arguments_exit_2(argv, option, tmp_path, capsys):
     path = tmp_path / "report.json"
     assert main([*argv, "--out", str(path)]) == 2

@@ -3,24 +3,21 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from test_checks import run_entry
 
+from eulernerve.checks import clutching_winding, generator_vs_transcription, pfaffian
 from eulernerve.euler import (
     builtin_cocycle,
     bundle_projection,
     bundle_projection_pushforward,
     clutching_euler_number,
-    euler_component,
     euler_component_words,
     euler_pfaffian,
     generated_cocycle,
     pfaffian_contraction,
-    phi_pullback_variants,
     words_to_json,
 )
 from eulernerve.matgroup import (
-    adjoint,
-    nerve_point,
-    random_frame,
     random_skew,
     sample_haar,
     tangent_frame,
@@ -68,12 +65,8 @@ def test_pfaffian_block_diagonal():
 
 @pytest.mark.parametrize("n", [2, 4, 6])
 def test_pfaffian_squared_is_determinant(n, rng):
-    p = n // 2
-    for _ in range(25):
-        a = random_skew(n, rng)
-        lhs = ((2 * np.pi) ** p * euler_pfaffian(a)) ** 2
-        rhs = np.linalg.det(a)
-        assert abs(lhs - rhs) <= 1e-9 * max(abs(rhs), 1e-12)
+    result = run_entry(pfaffian, ["pfaffian", "--n", str(n), "--trials", "25"], rng)
+    assert result["pfaffian^2 = det (relative)"].passed
 
 
 @pytest.mark.parametrize("n", [2, 4, 6])
@@ -87,11 +80,8 @@ def test_pfaffian_matches_cofactor_oracle(n, rng):
 
 def test_pfaffian_conjugation_invariance(rng):
     for n in (2, 4, 6):
-        a = random_skew(n, rng)
-        g = sample_haar(n, rng)
-        assert euler_pfaffian(adjoint(g, a)) == pytest.approx(
-            euler_pfaffian(a), rel=1e-10
-        )
+        result = run_entry(pfaffian, ["pfaffian", "--n", str(n), "--trials", "25"], rng)
+        assert result["conjugation invariance (relative)"].passed
 
 
 def test_pfaffian_rejects_odd_dimension():
@@ -141,15 +131,11 @@ def test_component_word_counts():
      (3, 0, (3, 3)), (3, 1, (2, 4)), (3, 2, (1, 5))],
 )
 def test_generated_equals_builtin(p, q, key, rng):
-    n = 2 * p
-    gen = euler_component(p, q)
-    built = builtin_cocycle(n).components[key]
-    for _ in range(10):
-        point = nerve_point([sample_haar(n, rng) for _ in range(key[0])], n=n)
-        frames = tuple(random_frame(key[0], n, rng) for _ in range(key[1]))
-        a = gen.fn(point, frames)
-        b = built.fn(point, frames)
-        assert abs(a - b) <= 1e-10 * max(abs(b), 1e-300)
+    # euler_component(p, q) is the component of bidegree key
+    assert key == (p - q, p + q)
+    argv = ["verify-generator", "--p", str(p), "--samples", "10"]
+    result = run_entry(generator_vs_transcription, argv, rng)
+    assert result[f"generator vs transcription (p={p}, q={q})"].passed
 
 
 def test_edge_and_diagonal_are_special_cases():
@@ -187,8 +173,9 @@ def test_clutching_zero():
 
 
 @pytest.mark.parametrize("k", [-3, -2, -1, 1, 2, 3])
-def test_clutching_winding(k):
-    assert abs(clutching_euler_number(k) - k) < 1e-10
+def test_clutching_winding(k, rng):
+    assert run_entry(clutching_winding, ["euler-number", "--winding", str(k)], rng)[
+        f"winding {k}"].passed
 
 
 def test_clutching_requires_min_steps():
@@ -207,13 +194,6 @@ def test_projection_pullback_identity_case():
     frame = bundle_projection_pushforward(gs, xis)
     for m in range(1, 3):
         assert np.allclose(frame.components[m - 1], xis[m - 1] - xis[m], atol=0)
-
-
-@pytest.mark.parametrize("s,q", [(1, 1), (2, 2), (1, 2)])
-def test_projection_pullback_first_coordinate_wins(s, q, rng):
-    res = phi_pullback_variants(s, q, samples=5, rng=rng)
-    assert res["pushforward_fd"] < 1e-8
-    assert res["conj_g0"] < 1e-8
 
 
 def test_projection_point(rng):
@@ -238,13 +218,7 @@ def test_words_to_json_counts():
 
 
 def test_generated_cocycle_is_total_cocycle(rng):
-    from eulernerve.matgroup import nerve_point as npoint
     from eulernerve.nerve import verify_total_cocycle
 
-    def sampler(level, rng):
-        return npoint([sample_haar(4, rng) for _ in range(level)], n=4)
-
-    report = verify_total_cocycle(
-        generated_cocycle(2), samples=5, tol=1e-5, rng=rng, point_sampler=sampler
-    )
+    report = verify_total_cocycle(generated_cocycle(2), samples=5, tol=1e-5, rng=rng)
     assert report.passed

@@ -2,12 +2,13 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 from scipy.linalg import expm
+from test_checks import run_entry
 
+from eulernerve.checks import maurer_cartan
 from eulernerve.euler import builtin_cocycle, euler_component
 from eulernerve.forms import (
     FormEvaluator,
     WordSumEvaluator,
-    evaluate_word,
     exterior_derivative,
     generator_value,
     lin,
@@ -24,7 +25,6 @@ from eulernerve.forms import (
     word_sum_form,
 )
 from eulernerve.matgroup import (
-    bracket,
     nerve_point,
     random_frame,
     random_skew,
@@ -32,10 +32,6 @@ from eulernerve.matgroup import (
     sample_near_identity,
     tangent_frame,
 )
-
-
-def entry_form(gen, a, b, level=1):
-    return FormEvaluator(level, 1, lambda p, v: float(generator_value(gen, p, v[0])[a, b]))
 
 
 # ---------------------------------------------------------------------------
@@ -102,7 +98,7 @@ def test_single_factor_entry(rng):
     p = nerve_point([sample_haar(2, rng)])
     xi = random_skew(2, rng)
     # the S_2 sum gives xi_12 - xi_21
-    val = evaluate_word(w, p, (tangent_frame([xi]),))
+    val = word_sum_form(1, 2, [w])(p, (tangent_frame([xi]),))
     assert abs(val - (xi[0, 1] - xi[1, 0])) < 1e-15
 
 
@@ -259,31 +255,14 @@ def test_d_of_constant_vanishes(rng):
 
 def test_maurer_cartan_left(rng):
     # d theta + theta ^ theta = 0, all entries
-    n = 4
-    p = nerve_point([sample_haar(n, rng)])
-    x, y = random_frame(1, n, rng), random_frame(1, n, rng)
-    comm = bracket(x.components[0], y.components[0])
-    worst = 0.0
-    for a in range(n):
-        for b in range(n):
-            d = exterior_derivative(entry_form(lmc(1), a, b))
-            worst = max(worst, abs(d.fn(p, (x, y)) + comm[a, b]))
-    assert worst < 1e-7
+    assert run_entry(maurer_cartan, ["structure-tests", "--n", "4"], rng)[
+        "Maurer-Cartan (left)"].passed
 
 
 def test_maurer_cartan_right(rng):
     # d kappa - kappa ^ kappa = 0 for the right-translation form
-    n = 4
-    p = nerve_point([sample_haar(n, rng)])
-    x, y = random_frame(1, n, rng), random_frame(1, n, rng)
-    h = p.components[0]
-    comm = bracket(h @ x.components[0] @ h.T, h @ y.components[0] @ h.T)
-    worst = 0.0
-    for a in range(n):
-        for b in range(n):
-            d = exterior_derivative(entry_form(rmc(1), a, b))
-            worst = max(worst, abs(d.fn(p, (x, y)) - comm[a, b]))
-    assert worst < 1e-7
+    assert run_entry(maurer_cartan, ["structure-tests", "--n", "4"], rng)[
+        "Maurer-Cartan (right)"].passed
 
 
 def test_d_squared_small(rng):
@@ -300,4 +279,4 @@ def test_word_arity_mismatch(rng):
     w = word(1.0, [lin(lmc(1)), lin(rmc(2))])
     p = nerve_point([sample_haar(4, rng), sample_haar(4, rng)])
     with pytest.raises(ValueError):
-        evaluate_word(w, p, (random_frame(2, 4, rng),))
+        word_sum_form(2, 4, [w])(p, (random_frame(2, 4, rng),))

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 from scipy.linalg import expm
+from test_checks import run_entry
 
+from eulernerve.checks import d_prime_squared, simplicial_identities, total_cocycle
 from eulernerve.euler import builtin_cocycle
 from eulernerve.forms import (
     FormEvaluator,
@@ -14,7 +16,6 @@ from eulernerve.forms import (
 from eulernerve.matgroup import (
     nerve_point,
     random_frame,
-    random_skew,
     sample_haar,
     skew_project,
     tangent_frame,
@@ -27,13 +28,6 @@ from eulernerve.nerve import (
     face_pushforward,
     verify_total_cocycle,
 )
-
-
-def haar_sampler(n):
-    def sampler(level, rng):
-        return nerve_point([sample_haar(n, rng) for _ in range(level)], n=n)
-
-    return sampler
 
 
 # ---------------------------------------------------------------------------
@@ -91,19 +85,8 @@ def test_pushforward_matches_finite_differences(rng):
 
 def test_simplicial_identities(rng):
     # eps_i o eps_j = eps_{j-1} o eps_i for i < j, points and pushforwards
-    q, n = 3, 4
-    p = nerve_point([sample_haar(n, rng) for _ in range(q)])
-    v = random_frame(q, n, rng)
-    for j in range(1, q + 1):
-        for i in range(j):
-            p1 = face_point(i, q - 1, face_point(j, q, p))
-            p2 = face_point(j - 1, q - 1, face_point(i, q, p))
-            for a, b in zip(p1.components, p2.components):
-                assert np.max(np.abs(a - b)) < 1e-12
-            v1 = face_pushforward(i, q - 1, face_point(j, q, p), face_pushforward(j, q, p, v))
-            v2 = face_pushforward(j - 1, q - 1, face_point(i, q, p), face_pushforward(i, q, p, v))
-            for a, b in zip(v1.components, v2.components):
-                assert np.max(np.abs(a - b)) < 1e-12
+    result = run_entry(simplicial_identities, ["structure-tests", "--n", "4"], rng)
+    assert all(c.passed for c in result.values())
 
 
 # ---------------------------------------------------------------------------
@@ -121,19 +104,15 @@ def test_d_prime_zero_form_expansion(rng):
 
 
 def test_d_prime_squared_zero_forms(rng):
-    m = random_skew(4, rng)
-    f = FormEvaluator(1, 0, lambda p, v: float(np.trace(m @ p.components[0])))
-    dd = d_prime(d_prime(f))
-    for _ in range(5):
-        p = haar_sampler(4)(3, rng)
-        assert abs(dd.fn(p, ())) < 1e-9
+    # the registry check covers trace(M h) and a generator-entry 1-form
+    assert run_entry(d_prime_squared, ["structure-tests", "--n", "4"], rng)["d' o d'"].passed
 
 
 def test_d_prime_squared_one_forms(rng):
     omega = word_sum_form(1, 4, [word(1.0, [lin(rmc(1)), square(rmc(1))])])
     dd = d_prime(d_prime(omega))
     for _ in range(3):
-        p = haar_sampler(4)(3, rng)
+        p = nerve_point([sample_haar(4, rng) for _ in range(3)])
         frames = tuple(random_frame(3, 4, rng) for _ in range(3))
         assert abs(dd.fn(p, frames)) < 1e-9
 
@@ -164,7 +143,7 @@ def test_anticommutation(rng):
     anti = d_second(d_prime(omega))
     comm = d_prime(d_second(omega))
     for _ in range(3):
-        p = haar_sampler(4)(2, rng)
+        p = nerve_point([sample_haar(4, rng) for _ in range(2)])
         frames = tuple(random_frame(2, 4, rng) for _ in range(3))
         assert abs(anti.fn(p, frames) + comm.fn(p, frames)) < 1e-5
 
@@ -174,28 +153,14 @@ def test_anticommutation(rng):
 
 
 def test_verify_so4_cochain(rng):
-    report = verify_total_cocycle(
-        builtin_cocycle(4),
-        samples=5,
-        tol=1e-5,
-        rng=rng,
-        point_sampler=haar_sampler(4),
-    )
-    assert report.passed
-    assert report.max_residual < 1e-5
-    assert report.consistent_assignments == 1
-    assert report.sign_assignment == {"1,3": 1, "2,2": 1}
+    result = run_entry(total_cocycle, ["verify-euler", "--n", "4", "--samples", "5"], rng)
+    assert all(c.passed for c in result.values())
+    assert result["unique sign assignment"].extra["sign_assignment"] == {"1,3": 1, "2,2": 1}
 
 
 def test_verify_so2_cochain(rng):
-    report = verify_total_cocycle(
-        builtin_cocycle(2),
-        samples=10,
-        tol=1e-9,
-        rng=rng,
-        point_sampler=haar_sampler(2),
-    )
-    assert report.passed
+    result = run_entry(total_cocycle, ["verify-euler", "--n", "2", "--tol", "1e-9"], rng)
+    assert all(c.passed for c in result.values())
 
 
 def test_verify_detects_perturbation(rng):
@@ -209,18 +174,14 @@ def test_verify_detects_perturbation(rng):
             (2, 2): base.components[(2, 2)],
         },
     )
-    report = verify_total_cocycle(
-        tampered, samples=5, tol=1e-5, rng=rng, point_sampler=haar_sampler(4),
-        frame_norm=2.5,
-    )
+    report = verify_total_cocycle(tampered, samples=5, tol=1e-5, rng=rng, frame_norm=2.5)
     assert not report.passed
     assert report.max_residual > 100 * 1e-5
     # and no sign flip can repair a scaled component
     assert report.consistent_assignments == 0
     # the unperturbed cochain stays far below tolerance on the same frames
     clean = verify_total_cocycle(
-        base, samples=5, tol=1e-5, rng=np.random.default_rng(99),
-        point_sampler=haar_sampler(4), frame_norm=2.5,
+        base, samples=5, tol=1e-5, rng=np.random.default_rng(99), frame_norm=2.5
     )
     assert clean.max_residual < 1e-8
 

@@ -17,10 +17,14 @@ from eulernerve.euler import (
     pfaffian_contraction,
     words_to_json,
 )
+from eulernerve.forms import generator_value, phi
 from eulernerve.matgroup import (
+    adjoint,
+    exp_alg,
     random_skew,
     sample_haar,
     tangent_frame,
+    trivialized_difference,
 )
 
 J = np.array([[0.0, -1.0], [1.0, 0.0]])
@@ -194,6 +198,27 @@ def test_projection_pullback_identity_case():
     frame = bundle_projection_pushforward(gs, xis)
     for m in range(1, 3):
         assert np.allclose(frame.components[m - 1], xis[m - 1] - xis[m], atol=0)
+
+
+@pytest.mark.parametrize("s,q", [(1, 1), (2, 2), (1, 2)])
+def test_projection_pullback_first_coordinate_wins(s, q, rng):
+    # gamma^* phi_s = Ad(g_0)(theta_{s-1} - theta_s), and the exact pushforward
+    # through gamma agrees with central differences, at one (s, q)
+    n, step = 4, 1e-5
+    for _ in range(5):
+        gs = [sample_haar(n, rng) for _ in range(q + 1)]
+        xis = [random_skew(n, rng) for _ in range(q + 1)]
+        point = bundle_projection(gs)
+        frame = bundle_projection_pushforward(gs, xis)
+        lhs = generator_value(phi(s), point, frame)
+        assert np.max(np.abs(lhs - adjoint(gs[0], xis[s - 1] - xis[s]))) < 1e-8
+        moved_p = bundle_projection([g @ exp_alg(step * x) for g, x in zip(gs, xis)])
+        moved_m = bundle_projection([g @ exp_alg(-step * x) for g, x in zip(gs, xis)])
+        for m in range(q):
+            fd = trivialized_difference(
+                point.components[m], moved_p.components[m], moved_m.components[m], step
+            )
+            assert np.max(np.abs(fd - frame.components[m])) < 1e-8
 
 
 def test_projection_point(rng):

@@ -235,20 +235,17 @@ def clutching_euler_number(k: int, steps: int = 256) -> float:
 
     The pullback of the normalized angle form along a winding-k clutching
     loop integrates to the Euler number k of the associated rank-2 bundle
-    over S^2.
+    over S^2.  One call evaluates the component on every step.
     """
     if steps < MIN_CLUTCHING_STEPS:
         raise ValueError(f"steps must be >= {MIN_CLUTCHING_STEPS}")
     e11 = builtin_cocycle(2).components[(1, 1)]
-    j = np.array([[0.0, -1.0], [1.0, 0.0]])
+    ang = 2.0 * np.pi * k * ((np.arange(steps) + 0.5) / steps)
+    h = np.stack([np.cos(ang), -np.sin(ang), np.sin(ang), np.cos(ang)], -1).reshape(-1, 2, 2)
+    # left-trivialized loop derivative: h^{-1} h' = 2 pi k J
+    xi = 2.0 * np.pi * k * np.array([[0.0, -1.0], [1.0, 0.0]])
     total = 0.0
-    for i in range(steps):
-        theta = (i + 0.5) / steps
-        ang = 2.0 * np.pi * k * theta
-        h = np.array([[np.cos(ang), -np.sin(ang)], [np.sin(ang), np.cos(ang)]])
-        # left-trivialized loop derivative: h^{-1} h' = 2 pi k J
-        xi = 2.0 * np.pi * k * j
-        val = e11.fn(nerve_point([h]), (tangent_frame([xi]),))
+    for val in e11.fn(nerve_point([h]), (tangent_frame([xi]),)):
         total += val / steps
     return total
 

@@ -276,6 +276,9 @@ class WordSumEvaluator:
     a(X_i) b(X_j) - a(X_j) b(X_i) of two generators on frames i, j.  A call
     evaluates each distinct letter once, computes each distinct entry once,
     gathers the rows with one fancy index and contracts them.
+    Only word sums take stacked points and frames (see matgroup): the value is
+    an array of their batch shape, whose axes come first, so each sample is
+    contracted and summed by the BLAS calls of a lone call, bit for bit.
     """
 
     def __init__(self, level: int, n: int, words: Sequence[WordForm]):
@@ -320,14 +323,19 @@ class WordSumEvaluator:
         self._index = np.array(index, dtype=np.intp)
         self._coeffs = np.array(coeffs)
 
-    def __call__(self, p: NervePoint, frames: Sequence[TangentFrame]) -> float:
+    def __call__(self, p: NervePoint, frames: Sequence[TangentFrame]) -> float | np.ndarray:
+        shape = np.broadcast_shapes(*{c.shape for v in (p, *frames) for c in v.components})
         vals = [generator_value(gen, p, frames[j]) for gen, j in self._letters]
-        table = np.array([
-            vals[e[0]] if len(e) == 1 else vals[e[0]] @ vals[e[1]] - vals[e[2]] @ vals[e[3]]
-            for e in self._entries
-        ])
-        mats = table[self._index]
-        return float(self._coeffs @ pfaffian_contraction([mats[:, f] for f in range(self.n // 2)]))
+        table = np.empty(shape[:-2] + (len(self._entries),) + shape[-2:])
+        for k, e in enumerate(self._entries):
+            table[..., k, :, :] = (
+                vals[e[0]] if len(e) == 1 else vals[e[0]] @ vals[e[1]] - vals[e[2]] @ vals[e[3]]
+            )
+        mats = table[..., self._index, :, :]
+        rows = pfaffian_contraction([mats[..., f, :, :] for f in range(self.n // 2)])
+        # a dot per sample: one gemv over all samples would round differently
+        sums = np.array([self._coeffs @ r for r in rows.reshape(-1, len(self._coeffs))])
+        return sums.reshape(shape[:-2]) if shape[:-2] else float(sums[0])
 
 
 def word_sum_form(level: int, n: int, words: Sequence[WordForm]) -> FormEvaluator:

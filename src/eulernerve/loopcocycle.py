@@ -208,12 +208,20 @@ def cocycle_residual(x1: LoopElement, x2: LoopElement, x3: LoopElement) -> float
 # loop functionals from the Euler components
 
 
-def _loop_tangent(h_of, theta: float) -> np.ndarray:
-    """Left-trivialized theta-derivative of a group-valued curve by central
-    differences of step ``TANGENT_STEP``."""
-    return trivialized_difference(
-        h_of(theta), h_of(theta + TANGENT_STEP), h_of(theta - TANGENT_STEP), TANGENT_STEP
-    )
+def _theta_stack(xi: LoopElement, theta_nodes: int) -> np.ndarray:
+    """xi at theta = i / theta_nodes and at theta +- TANGENT_STEP: (3, theta_nodes, n, n)."""
+    return np.stack([[xi.value(i / theta_nodes + d) for i in range(theta_nodes)]
+                     for d in (0.0, TANGENT_STEP, -TANGENT_STEP)])
+
+
+def _theta_sum(values: np.ndarray, weights: np.ndarray, theta_nodes: int) -> float:
+    """Sum of w * value / theta_nodes over a (theta, node) grid of values, one
+    term at a time, theta-major: a dot product would round differently."""
+    total = 0.0
+    for row in values:
+        for w, val in zip(weights, row):
+            total += w * val / theta_nodes
+    return total
 
 
 def level2_loop_functional(
@@ -229,29 +237,20 @@ def level2_loop_functional(
     (theta, t) -> (exp(y1 xi1(theta)), exp(t y2 xi2(theta))).
 
     The t-direction tangent is exact ((0, y2 xi2(theta)) in left
-    trivialization); the theta tangents use central differences.  The
-    component is evaluated in the loop normalization (see module docstring).
+    trivialization); the theta tangents use central differences.  The component is
+    evaluated once on the grid, in the loop normalization (see module docstring).
     """
     e22 = builtin_cocycle(4).components[(2, 2)]
     rule = quadrature_rule(1, t_order)
-    total = 0.0
-    for i in range(theta_nodes):
-        theta = i / theta_nodes
-        z_of = lambda th: y2 * xi2.value(th)
-        h1_of = lambda th: exp_alg(y1 * xi1.value(th))
-        for node, w in zip(rule.nodes, rule.weights):
-            t1 = node[1]
-            h2_of = lambda th: exp_alg(t1 * z_of(th))
-            h1 = h1_of(theta)
-            h2 = h2_of(theta)
-            point = nerve_point([h1, h2])
-            v_theta = tangent_frame(
-                [_loop_tangent(h1_of, theta), _loop_tangent(h2_of, theta)]
-            )
-            v_t = tangent_frame([np.zeros((4, 4)), z_of(theta)])
-            val = e22.fn(point, (v_theta, v_t))
-            total += w * val / theta_nodes
-    return float(LEVEL2_LOOP_SCALE * total)
+    # axes: (theta, theta + step, theta - step), theta node, t node
+    z = y2 * _theta_stack(xi2, theta_nodes)
+    h1 = exp_alg(y1 * _theta_stack(xi1, theta_nodes))[:, :, None]
+    h2 = exp_alg(rule.nodes[:, 1, None, None] * z[:, :, None])
+    point = nerve_point([h1[0], h2[0]])
+    v_theta = tangent_frame([trivialized_difference(*h, TANGENT_STEP) for h in (h1, h2)])
+    v_t = tangent_frame([np.zeros((4, 4)), z[0, :, None]])
+    values = e22.fn(point, (v_theta, v_t))
+    return float(LEVEL2_LOOP_SCALE * _theta_sum(values, rule.weights, theta_nodes))
 
 
 def level1_loop_functional(
@@ -269,37 +268,28 @@ def level1_loop_functional(
     This is sigma_2(t; exp(y1 xi1), exp(y2 xi2)) for the first-order
     exp-interpolation sigma_2(t; h_1, h_2) = exp((1-t_0) log h_1) exp(t_2 log h_2),
     with the log of each exponential path written as the path's argument.
+    The component is evaluated once on the (theta, node) grid.
     """
     e13 = builtin_cocycle(4).components[(1, 3)]
     rule = quadrature_rule(2, t_order)
     step = TANGENT_STEP
+    x1 = _theta_stack(xi1, theta_nodes)[:, :, None]
+    x2 = _theta_stack(xi2, theta_nodes)[:, :, None]
 
-    def point_at(t_vec, th):
-        return (exp_alg((1.0 - t_vec[0]) * y1 * xi1.value(th))
-                @ exp_alg(t_vec[2] * y2 * xi2.value(th)))
+    def path(t: np.ndarray, k: int) -> np.ndarray:
+        # the path at the nodes t (node, 3), on theta grid k of _theta_stack
+        return (exp_alg(((1.0 - t[:, 0]) * y1)[:, None, None] * x1[k])
+                @ exp_alg((t[:, 2] * y2)[:, None, None] * x2[k]))
 
-    total = 0.0
-    for i in range(theta_nodes):
-        theta = i / theta_nodes
-        for node, w in zip(rule.nodes, rule.weights):
-            base = point_at(node, theta)
-            tangents = []
-            for a in (1, 2):
-                tp = np.array(node)
-                tm = np.array(node)
-                tp[a] += step
-                tp[0] -= step
-                tm[a] -= step
-                tm[0] += step
-                diff = trivialized_difference(base, point_at(tp, theta), point_at(tm, theta), step)
-                tangents.append(tangent_frame([diff]))
-            diff = trivialized_difference(
-                base, point_at(node, theta + step), point_at(node, theta - step), step
-            )
-            tangents.append(tangent_frame([diff]))
-            val = e13.fn(nerve_point([base]), tuple(tangents))
-            total += w * val / theta_nodes
-    return float(LEVEL1_LOOP_SCALE * total)
+    nodes = rule.nodes
+    base = path(nodes, 0)
+    # d/dt_1 and d/dt_2 (t_0 compensating), then d/dtheta
+    moves = [(path(nodes + d, 0), path(nodes - d, 0))
+             for d in (np.array([-step, step, 0.0]), np.array([-step, 0.0, step]))]
+    moves.append((path(nodes, 1), path(nodes, 2)))
+    frames = tuple(tangent_frame([trivialized_difference(base, *m, step)]) for m in moves)
+    values = e13.fn(nerve_point([base]), frames)
+    return float(LEVEL1_LOOP_SCALE * _theta_sum(values, rule.weights, theta_nodes))
 
 
 # ---------------------------------------------------------------------------

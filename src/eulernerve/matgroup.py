@@ -5,9 +5,10 @@ vectors on a product G^r are kept in left trivialization throughout: a frame
 stores the algebra elements (xi_1, ..., xi_r) and the actual tangent vector
 at (h_1, ..., h_r) is (h_1 xi_1, ..., h_r xi_r).
 
-``exp_alg``, ``log_grp``, ``skew_project`` and ``trivialized_difference``
-take (n, n) matrices or stacks of shape (..., n, n), and map a stack matrix by
-matrix; each result matrix is bit-identical to the call on that matrix alone.
+``exp_alg``, ``log_grp``, ``skew_project``, ``trivialized_difference`` and
+``adjoint`` take (n, n) matrices or stacks (..., n, n) and map a stack matrix
+by matrix, bit-identically to the call on that matrix alone.  Points and
+frames may hold such stacks: their broadcast leading axes index a batch.
 """
 
 from __future__ import annotations
@@ -76,8 +77,8 @@ def log_grp(g: np.ndarray) -> np.ndarray:
 
 
 def adjoint(g: np.ndarray, xi: np.ndarray) -> np.ndarray:
-    """Adjoint action g xi g^{-1} (= g xi g.T on SO(n))."""
-    return g @ xi @ g.T
+    """Adjoint action g xi g^{-1} (= g xi g^T on SO(n))."""
+    return g @ xi @ g.swapaxes(-1, -2)
 
 
 def bracket(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -89,13 +90,12 @@ def bracket(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 # sampling
 
 
-def random_skew(n: int, rng: np.random.Generator, norm: float | None = 1.0) -> np.ndarray:
-    """Random skew matrix; if ``norm`` is given, rescaled to that spectral norm."""
+def random_skew(n: int, rng: np.random.Generator, norm: float = 1.0) -> np.ndarray:
+    """Random skew matrix rescaled to spectral norm ``norm``."""
     s = skew_project(rng.standard_normal((n, n)))
-    if norm is not None:
-        cur = np.linalg.norm(s, 2)
-        if cur > 0:
-            s = s * (norm / cur)
+    cur = np.linalg.norm(s, 2)
+    if cur > 0:
+        s = s * (norm / cur)
     return s
 
 
@@ -133,7 +133,7 @@ def sample_near_identity(n: int, radius: float, rng: np.random.Generator) -> np.
 
 @dataclass(frozen=True)
 class NervePoint:
-    """Point of NG(r): an ordered tuple of r elements of SO(n)."""
+    """Point of NG(r): an ordered tuple of r elements (or stacks) of SO(n)."""
 
     n: int
     components: tuple[np.ndarray, ...]
@@ -144,8 +144,8 @@ class NervePoint:
 
     def __post_init__(self):
         for h in self.components:
-            if h.shape != (self.n, self.n):
-                raise ValueError("all components must be n x n")
+            if h.shape[-2:] != (self.n, self.n):
+                raise ValueError("all components must be n x n or stacks of n x n")
 
 
 @dataclass(frozen=True)
@@ -165,7 +165,7 @@ def nerve_point(components: Sequence[np.ndarray], n: int | None = None) -> Nerve
     if n is None:
         if not comps:
             raise ValueError("n is required for a level-0 point")
-        n = comps[0].shape[0]
+        n = comps[0].shape[-1]
     return NervePoint(n=n, components=comps)
 
 
@@ -174,7 +174,7 @@ def tangent_frame(components: Sequence[np.ndarray], n: int | None = None) -> Tan
     if n is None:
         if not comps:
             raise ValueError("n is required for a level-0 frame")
-        n = comps[0].shape[0]
+        n = comps[0].shape[-1]
     return TangentFrame(n=n, components=comps)
 
 

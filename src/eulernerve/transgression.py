@@ -108,8 +108,9 @@ def transgression_form(
     left-trivialized.  One evaluation contracts all quadrature nodes of the
     rule in one batched call per perturbation direction (the base point,
     +-FD_STEP along each simplex direction, +-FD_STEP along each frame), and
-    sums mu over the nodes in the rule's order.  The result equals the
-    per-node evaluation of the level map bit for bit.
+    evaluates mu, a word sum, once on all nodes; the weighted values are added
+    in the rule's order, since a dot product would round differently.  The
+    result equals the per-node evaluation of the level map bit for bit.
     """
     if mu.level != m:
         raise ValueError(f"mu has level {mu.level}, expected {m}")
@@ -156,14 +157,11 @@ def transgression_form(
                     base, contract_nodes(nodes, hp), contract_nodes(nodes, hm), FD_STEP
                 ),
             ))
+        tangents = tuple(tangent_frame([*pushed, contracted]) for pushed, contracted in directions)
+        values = mu.fn(nerve_point([*kept, base]), tangents)
         total = 0.0
-        for k, weight in enumerate(rule.weights):
-            point = nerve_point([*kept, base[k]], n=p.n)
-            tangents = tuple(
-                tangent_frame([*pushed, contracted[k]], n=p.n)
-                for pushed, contracted in directions
-            )
-            total += weight * mu.fn(point, tangents)
+        for weight, value in zip(rule.weights, values):
+            total += weight * value
         return sign * total
 
     return FormEvaluator(level, degree, fn)

@@ -9,7 +9,7 @@ every residual that a change moved, bit for bit.
 
 ``CONFIGS`` is also the table that ``tests/test_checks.py`` runs the registry
 entries at; each is printed at seeds 0-2, except the loop-cocycle one, whose
-loop functionals take most of a minute through ``main``.  ``SEED0_CONFIGS``
+loop functionals take about 30 s through ``main``.  ``SEED0_CONFIGS``
 (two benchmark certificates and the whole loop suite) are printed at seed 0
 only; the third benchmark certificate, ``verify-generator --p 3 --samples
 10``, is in ``CONFIGS``.

@@ -17,7 +17,7 @@ from eulernerve.nerve import Cochain
 # Entries that no test runs, and why.
 EXEMPT = {
     checks.loop_functionals: "64 theta nodes x order 8 inside finite-difference stencils, "
-    "about a minute; test_loopcocycle.py checks the same functionals at reduced quadrature",
+    "about 30 s; test_loopcocycle.py checks the same functionals at reduced quadrature",
 }
 
 PFAFFIAN = (("pfaffian^2 = det (relative)", "conjugation invariance (relative)"),)

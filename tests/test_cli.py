@@ -10,7 +10,7 @@ from eulernerve.cli import SCHEMA_VERSION, main
 TRANSGRESS = ["transgress", "--samples", "1", "--quad-order", "2", "--seed", "3"]
 
 # every configuration of the table except the loop suite, whose loop
-# functionals take about a minute through main
+# functionals take about 30 s through main
 CLI_CONFIGS = [argv for argv in CONFIGS if argv[0] != "loop-cocycle"]
 # arguments outside what a suite accepts, and the option the message names
 BAD_ARGUMENTS = [

@@ -220,11 +220,17 @@ def _row_loop(ev, p, frames):
     return float(np.array(coeffs) @ pfaffian_contraction([mats[:, k] for k in range(ev.n // 2)]))
 
 
+def _stacked(objs, make):
+    """One point or frame whose components stack those of ``objs``."""
+    return make([np.stack(c) for c in zip(*(o.components for o in objs))])
+
+
 @pytest.mark.parametrize("source", ["builtin-2", "builtin-4", "builtin-6",
                                     "generated-1", "generated-2", "generated-3"])
 def test_factor_table_matches_row_loop(source):
     # the precomputed factor table must not change a single bit of any
-    # Euler component against building every row on its own
+    # Euler component against building every row on its own, and a stack of
+    # points must give each point's own value
     kind, size = source.split("-")
     if kind == "builtin":
         forms = list(builtin_cocycle(int(size)).components.values())
@@ -234,12 +240,21 @@ def test_factor_table_matches_row_loop(source):
     for form in forms:
         ev = form.fn
         assert isinstance(ev, WordSumEvaluator)
+        draws = []
         for _ in range(2):
             point = nerve_point([sample_haar(ev.n, rng) for _ in range(ev.level)])
             frames = tuple(random_frame(ev.level, ev.n, rng) for _ in range(ev.degree))
             value = ev(point, frames)
             assert value != 0.0
             assert value == _row_loop(ev, point, frames)
+            draws.append((point, frames, value))
+        points, frame_draws, values = zip(*draws)
+        stacked = ev(
+            _stacked(points, nerve_point),
+            tuple(_stacked(fs, tangent_frame) for fs in zip(*frame_draws)),
+        )
+        assert stacked.shape == (2,)
+        assert list(stacked) == list(values)
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,9 @@ from eulernerve.checks import loop_cocycle_residual, pairing_ad_invariance, work
 from eulernerve.euler import pfaffian_contraction
 from eulernerve.forms import perm_table
 from eulernerve.loopcocycle import (
+    LEVEL1_LOOP_SCALE,
     LEVEL2_LOOP_SCALE,
+    TANGENT_STEP,
     antisymmetrized_mixed_partial,
     closed_form_mixed_partial,
     cocycle_residual,
@@ -19,7 +21,15 @@ from eulernerve.loopcocycle import (
     pf_pairing,
     random_loop,
 )
-from eulernerve.matgroup import random_skew
+from eulernerve.euler import builtin_cocycle
+from eulernerve.matgroup import (
+    exp_alg,
+    nerve_point,
+    random_skew,
+    tangent_frame,
+    trivialized_difference,
+)
+from eulernerve.simplex import quadrature_rule
 
 ZERO = np.zeros((4, 4))
 
@@ -152,6 +162,79 @@ def test_level2_functional_vanishes_when_either_scale_is_zero(rng):
     a, b = random_loop(4, 1, rng), random_loop(4, 1, rng)
     assert level2_loop_functional(0.0, a, 0.4, b, theta_nodes=16, t_order=3) == pytest.approx(0.0, abs=1e-30)
     assert level2_loop_functional(0.4, a, 0.0, b, theta_nodes=16, t_order=3) == pytest.approx(0.0, abs=1e-30)
+
+
+def per_node_level2(y1, xi1, y2, xi2, *, theta_nodes, t_order):
+    """Reference: the level-2 functional, one point and frame per node."""
+    e22 = builtin_cocycle(4).components[(2, 2)]
+    rule = quadrature_rule(1, t_order)
+
+    def tangent(h_of, theta):
+        return trivialized_difference(
+            h_of(theta), h_of(theta + TANGENT_STEP), h_of(theta - TANGENT_STEP), TANGENT_STEP
+        )
+
+    total = 0.0
+    for i in range(theta_nodes):
+        theta = i / theta_nodes
+        z_of = lambda th: y2 * xi2.value(th)
+        h1_of = lambda th: exp_alg(y1 * xi1.value(th))
+        for node, w in zip(rule.nodes, rule.weights):
+            t1 = node[1]
+            h2_of = lambda th: exp_alg(t1 * z_of(th))
+            point = nerve_point([h1_of(theta), h2_of(theta)])
+            v_theta = tangent_frame([tangent(h1_of, theta), tangent(h2_of, theta)])
+            v_t = tangent_frame([np.zeros((4, 4)), z_of(theta)])
+            total += w * e22.fn(point, (v_theta, v_t)) / theta_nodes
+    return float(LEVEL2_LOOP_SCALE * total)
+
+
+def per_node_level1(y1, xi1, y2, xi2, *, theta_nodes, t_order):
+    """Reference: the level-1 functional, one point and frame per node."""
+    e13 = builtin_cocycle(4).components[(1, 3)]
+    rule = quadrature_rule(2, t_order)
+    step = TANGENT_STEP
+
+    def point_at(t_vec, th):
+        return (exp_alg((1.0 - t_vec[0]) * y1 * xi1.value(th))
+                @ exp_alg(t_vec[2] * y2 * xi2.value(th)))
+
+    total = 0.0
+    for i in range(theta_nodes):
+        theta = i / theta_nodes
+        for node, w in zip(rule.nodes, rule.weights):
+            base = point_at(node, theta)
+            tangents = []
+            for a in (1, 2):
+                tp = np.array(node)
+                tm = np.array(node)
+                tp[a] += step
+                tp[0] -= step
+                tm[a] -= step
+                tm[0] += step
+                diff = trivialized_difference(base, point_at(tp, theta), point_at(tm, theta), step)
+                tangents.append(tangent_frame([diff]))
+            diff = trivialized_difference(
+                base, point_at(node, theta + step), point_at(node, theta - step), step
+            )
+            tangents.append(tangent_frame([diff]))
+            total += w * e13.fn(nerve_point([base]), tuple(tangents)) / theta_nodes
+    return float(LEVEL1_LOOP_SCALE * total)
+
+
+@pytest.mark.parametrize("y1, y2", [(1e-3, -1e-3), (-1e-3, 1e-3)])
+def test_stacked_functionals_equal_per_node_reference(y1, y2):
+    # one stacked evaluation on the (theta, node) grid only regroups the same
+    # matrix operations, and the weighted sum keeps the node-by-node order,
+    # so both functionals reproduce the per-node loops exactly
+    rng = np.random.default_rng(8)
+    a = random_loop(4, 1, rng, norm=0.8)
+    b = random_loop(4, 1, rng, norm=0.8)
+    for stacked, reference in ((level1_loop_functional, per_node_level1),
+                               (level2_loop_functional, per_node_level2)):
+        value = stacked(y1, a, y2, b, theta_nodes=4, t_order=2)
+        assert value != 0.0
+        assert value == reference(y1, a, y2, b, theta_nodes=4, t_order=2)
 
 
 def test_level2_mixed_partial_matches_closed_form(rng):

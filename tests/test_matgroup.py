@@ -76,6 +76,8 @@ def test_stacked_calls_equal_per_matrix_calls():
     assert np.array_equal(
         skew_project(m), np.stack([[skew_project(x) for x in row] for row in m])
     )
+    xi = rng.standard_normal(g.shape)
+    assert np.array_equal(adjoint(g, xi), np.stack([adjoint(a, b) for a, b in zip(g, xi)]))
 
 
 def test_log_domain_error_anywhere_in_stack(rng):

@@ -276,17 +276,25 @@ def level1_loop_functional(
     x1 = _theta_stack(xi1, theta_nodes)[:, :, None]
     x2 = _theta_stack(xi2, theta_nodes)[:, :, None]
 
+    # the path's two factors at the nodes t (node, 3), on theta grid k of _theta_stack
+    def first(t: np.ndarray, k: int) -> np.ndarray:
+        return exp_alg(((1.0 - t[:, 0]) * y1)[:, None, None] * x1[k])
+
+    def second(t: np.ndarray, k: int) -> np.ndarray:
+        return exp_alg((t[:, 2] * y2)[:, None, None] * x2[k])
+
     def path(t: np.ndarray, k: int) -> np.ndarray:
-        # the path at the nodes t (node, 3), on theta grid k of _theta_stack
-        return (exp_alg(((1.0 - t[:, 0]) * y1)[:, None, None] * x1[k])
-                @ exp_alg((t[:, 2] * y2)[:, None, None] * x2[k]))
+        return first(t, k) @ second(t, k)
 
     nodes = rule.nodes
-    base = path(nodes, 0)
+    d1, d2 = np.array([-step, step, 0.0]), np.array([-step, 0.0, step])
+    # d/dt_1 leaves t_2, so the base point's second factor, unchanged
+    fixed = second(nodes, 0)
+    base = first(nodes, 0) @ fixed
     # d/dt_1 and d/dt_2 (t_0 compensating), then d/dtheta
-    moves = [(path(nodes + d, 0), path(nodes - d, 0))
-             for d in (np.array([-step, step, 0.0]), np.array([-step, 0.0, step]))]
-    moves.append((path(nodes, 1), path(nodes, 2)))
+    moves = [(first(nodes + d1, 0) @ fixed, first(nodes - d1, 0) @ fixed),
+             (path(nodes + d2, 0), path(nodes - d2, 0)),
+             (path(nodes, 1), path(nodes, 2))]
     frames = tuple(tangent_frame([trivialized_difference(base, *m, step)]) for m in moves)
     values = e13.fn(nerve_point([base]), frames)
     return float(LEVEL1_LOOP_SCALE * _theta_sum(values, rule.weights, theta_nodes))

@@ -9,6 +9,13 @@ at (h_1, ..., h_r) is (h_1 xi_1, ..., h_r xi_r).
 ``adjoint`` take (n, n) matrices or stacks (..., n, n) and map a stack matrix
 by matrix, bit-identically to the call on that matrix alone.  Points and
 frames may hold such stacks: their broadcast leading axes index a batch.
+
+For n = 4, ``exp_alg`` and ``log_grp`` use the closed forms of
+so(4) = su(2) + su(2) (Iserles, Munthe-Kaas, Norsett & Zanna, Acta Numerica 9,
+2000): R^4 is the quaternions, every rotation is q -> a q b for unit
+quaternions a and b, and exp and log reduce to one Rodrigues factor and one
+``atan2`` angle per side.  Other n use scipy's ``expm`` and an
+eigendecomposition.
 """
 
 from __future__ import annotations
@@ -51,29 +58,142 @@ def trivialized_difference(
 
 
 def exp_alg(xi: np.ndarray) -> np.ndarray:
-    """Matrix exponential so(n) -> SO(n) (scaling-and-squaring Pade)."""
-    return expm(np.asarray(xi, dtype=float))
+    """Matrix exponential so(n) -> SO(n).
+
+    n = 4: the product of the two commuting Rodrigues factors of the left and
+    right parts (see ``_exp_so4``).  Other n: scipy's scaling-and-squaring
+    Pade ``expm``.
+    """
+    xi = np.asarray(xi, dtype=float)
+    if xi.shape[-1] == 4:
+        return _exp_so4(xi.reshape(-1, 4, 4)).reshape(xi.shape)
+    return expm(xi)
 
 
 def log_grp(g: np.ndarray) -> np.ndarray:
-    """Principal logarithm SO(n) -> so(n).
+    """Principal logarithm SO(n) -> so(n); the result is exactly skew.
 
     Requires every rotation angle, of every matrix in a stack, to stay at
     least ``LOG_ANGLE_MARGIN`` away from pi; otherwise the principal branch is
-    ill-conditioned and a DomainError is raised.  Orthogonal matrices are
-    normal, so the log is taken through a (unitary) eigendecomposition.
+    ill-conditioned and a DomainError is raised.  n = 4: two ``atan2`` angles
+    of the quaternion pair g = L_a R_b (see ``_log_so4``).  Other n: orthogonal
+    matrices are normal, so the log is taken through a (unitary)
+    eigendecomposition.
     """
     g = np.asarray(g, dtype=float)
+    if g.shape[-1] == 4:
+        return _log_so4(g.reshape(-1, 4, 4)).reshape(g.shape)
     lam, vec = np.linalg.eig(g)
-    worst = float(np.abs(np.angle(lam)).max(initial=0.0))
+    _check_log_domain(np.abs(np.angle(lam)))
+    w = np.log(lam)
+    xi = vec @ (w[..., :, None] * np.conj(vec.swapaxes(-1, -2)))
+    return skew_project(np.real(xi))
+
+
+def _check_log_domain(angles: np.ndarray) -> None:
+    worst = float(angles.max(initial=0.0))
     if worst > np.pi - LOG_ANGLE_MARGIN:
         raise DomainError(
             f"rotation angle {worst:.8f} is within {LOG_ANGLE_MARGIN:g} of pi; "
             "outside the principal-logarithm domain"
         )
-    w = np.log(lam)
-    xi = vec @ (w[..., :, None] * np.conj(vec.swapaxes(-1, -2)))
-    return skew_project(np.real(xi))
+
+
+# ---------------------------------------------------------------------------
+# so(4) = su(2) + su(2) through quaternions
+#
+# R^4 is the quaternions H with basis e_0 = 1, e_1 = i, e_2 = j, e_3 = k.  Left
+# and right multiplication, L_a q = a q and R_b q = q b, commute; every element
+# of SO(4) is L_a R_b with unit a and b, unique up to a common sign, and so(4)
+# is the direct sum of the L_{e_r} and R_{e_r} spans, r = 1, 2, 3.  Entry
+# (i, j) of L_a is _LEFT_SIGN[i, j] * a[i ^ j] (bitwise xor), and likewise for
+# R_b.  The kernels below hold the batch on the last axis and use entrywise
+# operations and sums over the first axis, in a fixed order, only; so a matrix
+# gives the same bits in any stack.
+
+_XOR = np.bitwise_xor.outer(np.arange(4), np.arange(4))
+_LEFT_SIGN = np.array(
+    [[1, -1, -1, -1], [1, 1, -1, 1], [1, 1, 1, -1], [1, -1, 1, 1]], dtype=float
+)
+_RIGHT_SIGN = np.array(
+    [[1, -1, -1, -1], [1, 1, 1, -1], [1, -1, 1, 1], [1, 1, -1, 1]], dtype=float
+)
+_SIGNS = np.stack([_LEFT_SIGN, _RIGHT_SIGN], axis=-1)
+# index tables on the axes (k, i, j)
+_K, _I, _J = np.arange(4)[:, None, None], np.arange(4)[:, None], np.arange(4)
+_IK, _JK = _I ^ _K, _J ^ _K
+# u_r = 1/4 tr(L_{e_r}^T x) sums, over i, the entry x[i, i ^ r] with sign
+# _LEFT_SIGN[i, i ^ r] (v_r alike); axes (i, r, left/right)
+_VEC_COLS = _XOR[:, 1:]
+_VEC_SIGN = 0.25 * _SIGNS[_I, _VEC_COLS, :, None]
+# (L_a R_b)_ij sums, over k, a[i ^ k] b[j ^ k] with sign
+# _LEFT_SIGN[i, k] * _RIGHT_SIGN[k, j]
+_PRODUCT_SIGN = (_LEFT_SIGN[_I, _K] * _RIGHT_SIGN[_K, _J])[..., None]
+# the associate matrix M_ij = 1/4 tr(L_{e_i}^T g R_{e_j}^T) sums, over k, the
+# entry g[i ^ k, j ^ k] with sign _LEFT_SIGN[i ^ k, k] * _RIGHT_SIGN[k, j ^ k]
+_ASSOC_SIGN = 0.25 * (_LEFT_SIGN[_IK, _K] * _RIGHT_SIGN[_K, _JK])[..., None]
+
+
+def _sum4(t: np.ndarray) -> np.ndarray:
+    """t[0] + t[1] + t[2] + t[3], left to right."""
+    return ((t[0] + t[1]) + t[2]) + t[3]
+
+
+def _norm3(w: np.ndarray) -> np.ndarray:
+    """|w| over the first axis (length 3), squares summed left to right."""
+    return np.sqrt((w[0] * w[0] + w[1] * w[1]) + w[2] * w[2])
+
+
+def _ratio(num: np.ndarray, den: np.ndarray) -> np.ndarray:
+    """num / den, and 1 where den is 0 (the limit of sin t / t and t / sin t)."""
+    return np.divide(num, den, out=np.ones_like(den), where=den > 0)
+
+
+def _exp_so4(x: np.ndarray) -> np.ndarray:
+    """exp of a (B, 4, 4) stack of skew matrices.
+
+    x = U + V with U = sum_r u_r L_{e_r} and V = sum_r v_r R_{e_r}; U and V
+    commute and U^2 = -|u|^2 I, so exp x = (cos|u| I + sinc|u| U)(cos|v| I +
+    sinc|v| V) = L_a R_b with a = (cos|u|, sinc|u| u), b = (cos|v|, sinc|v| v).
+    """
+    # w[r, side, batch]: u for side 0, v for side 1
+    w = _sum4(_VEC_SIGN * x.transpose(1, 2, 0)[_I, _VEC_COLS, None])
+    angle = _norm3(w)
+    q = np.empty((4,) + angle.shape)
+    q[0] = np.cos(angle)
+    q[1:] = _ratio(np.sin(angle), angle) * w
+    g = _sum4(_PRODUCT_SIGN * q[_IK, 0] * q[_JK, 1])
+    return np.ascontiguousarray(g.transpose(2, 0, 1))
+
+
+def _log_so4(g: np.ndarray) -> np.ndarray:
+    """Principal log of a (B, 4, 4) stack of rotations g = L_a R_b.
+
+    The associate matrix M = a b^T is linear in g.  a is M's column of largest
+    norm, normalized, and b = M^T a.  With alpha and beta the angles of a and
+    b, g rotates by alpha + beta and |alpha - beta|; the sign shared by a and b
+    is chosen so that alpha + beta <= pi, which makes alpha + beta the larger
+    angle.  Then log g = (alpha / sin alpha) L_{vec a} + (beta / sin beta)
+    R_{vec b}, with sin alpha read as |vec a|.  The result is exactly skew:
+    L_{vec a} and R_{vec b} have a zero diagonal and opposite signs at (i, j)
+    and (j, i).
+    """
+    m = _sum4(_ASSOC_SIGN * g.transpose(1, 2, 0)[_IK, _JK])
+    col = np.argmax(_sum4(m * m), axis=0)
+    # q[:, side, batch]: a for side 0, b for side 1
+    q = np.empty((4, 2, len(col)))
+    a = m[:, col, np.arange(len(col))]
+    q[:, 0] = a = a / np.sqrt(_sum4(a * a))
+    q[:, 1] = _sum4(m * a[:, None])
+    sin = _norm3(q[1:])
+    angle = np.arctan2(sin, q[0])
+    q *= np.where(angle[0] + angle[1] > np.pi, -1.0, 1.0)
+    angle = np.arctan2(sin, q[0])
+    _check_log_domain(angle[0] + angle[1])
+    q[0] = 0.0
+    q[1:] *= _ratio(angle, sin)
+    t = _SIGNS[..., None] * q[_XOR]
+    return np.ascontiguousarray((t[:, :, 0] + t[:, :, 1]).transpose(2, 0, 1))
 
 
 def adjoint(g: np.ndarray, xi: np.ndarray) -> np.ndarray:

@@ -7,9 +7,8 @@ script reads only ``cli.main`` and the JSON report, so running it against an
 older tree (``PYTHONPATH=<old tree>/src``) and diffing the two outputs shows
 every residual that a change moved, bit for bit.
 
-``CONFIGS`` is also the table that ``tests/test_checks.py`` runs the registry
-entries at; each is printed at seeds 0-2, except the loop-cocycle one, whose
-loop functionals take about 30 s through ``main``.  ``SEED0_CONFIGS``
+``CONFIGS`` is also the table that ``tests/test_checks.py`` and
+``tests/test_cli.py`` run; each is printed at seeds 0-2.  ``SEED0_CONFIGS``
 (two benchmark certificates and the whole loop suite) are printed at seed 0
 only; the third benchmark certificate, ``verify-generator --p 3 --samples
 10``, is in ``CONFIGS``.
@@ -73,7 +72,7 @@ def residual_lines(argv: list[str], seed: int, report_dir: str) -> list[str]:
 
 
 def main() -> int:
-    runs = [(argv, seed) for argv in CONFIGS if argv[0] != "loop-cocycle" for seed in SEEDS]
+    runs = [(argv, seed) for argv in CONFIGS for seed in SEEDS]
     runs += [(argv, 0) for argv in SEED0_CONFIGS]
     with tempfile.TemporaryDirectory() as report_dir:
         for argv, seed in runs:

@@ -14,12 +14,6 @@ from eulernerve.cli import build_parser
 from eulernerve.forms import scale_form
 from eulernerve.nerve import Cochain
 
-# Entries that no test runs, and why.
-EXEMPT = {
-    checks.loop_functionals: "64 theta nodes x order 8 inside finite-difference stencils, "
-    "about 30 s; test_loopcocycle.py checks the same functionals at reduced quadrature",
-}
-
 PFAFFIAN = (("pfaffian^2 = det (relative)", "conjugation invariance (relative)"),)
 STRUCTURE = (
     ("Maurer-Cartan (left)", "Maurer-Cartan (right)"),
@@ -78,7 +72,6 @@ CASES = [
     (argv, index, entry)
     for argv in CONFIGS
     for index, entry in enumerate(SUITES[argv[0]])
-    if entry not in EXEMPT
 ]
 
 
@@ -93,9 +86,7 @@ def run_entry(entry, argv, rng):
 
 def test_every_entry_runs_under_test():
     covered = {entry for _, _, entry in CASES}
-    registered = {entry for entries in SUITES.values() for entry in entries}
-    assert covered | set(EXEMPT) == registered
-    assert not covered & set(EXEMPT)
+    assert covered == {entry for entries in SUITES.values() for entry in entries}
     assert set(NAMES) == {" ".join(argv) for argv in CONFIGS}
 
 

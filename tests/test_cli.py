@@ -9,9 +9,6 @@ from eulernerve.cli import SCHEMA_VERSION, main
 
 TRANSGRESS = ["transgress", "--samples", "1", "--quad-order", "2", "--seed", "3"]
 
-# every configuration of the table except the loop suite, whose loop
-# functionals take about 30 s through main
-CLI_CONFIGS = [argv for argv in CONFIGS if argv[0] != "loop-cocycle"]
 # arguments outside what a suite accepts, and the option the message names
 BAD_ARGUMENTS = [
     (["structure-tests", "--workers", "2"], "--workers"),
@@ -54,10 +51,10 @@ def test_no_arguments_exits_2(capsys):
 
 
 def test_every_suite_runs_under_test():
-    assert {argv[0] for argv in CLI_CONFIGS} | {"loop-cocycle"} == set(SUITES)
+    assert {argv[0] for argv in CONFIGS} == set(SUITES)
 
 
-@pytest.mark.parametrize("argv", CLI_CONFIGS, ids=map(argv_id, CLI_CONFIGS))
+@pytest.mark.parametrize("argv", CONFIGS, ids=map(argv_id, CONFIGS))
 def test_fast_suites_pass(argv, tmp_path):
     code, report = run_report(argv, tmp_path / "report.json")
     assert code == 0

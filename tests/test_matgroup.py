@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
+from scipy.linalg import expm
 
 from eulernerve.matgroup import (
     DomainError,
@@ -63,6 +64,142 @@ def test_log_exp_roundtrip(seed):
 def test_log_domain_error_near_pi():
     g = exp_alg((np.pi - 1e-9) * J)
     with pytest.raises(DomainError):
+        log_grp(g)
+
+
+# ---------------------------------------------------------------------------
+# n = 4: the quaternion closed forms against scipy's expm and an eig log
+
+NORMS = (1e-8, 1e-4, 0.05, 0.3, 1.0, 2.0, 3.0, np.pi - 1e-3)
+
+
+def hamilton(p, q):
+    p0, p1, p2, p3 = p
+    q0, q1, q2, q3 = q
+    return np.array([
+        p0 * q0 - p1 * q1 - p2 * q2 - p3 * q3,
+        p0 * q1 + p1 * q0 + p2 * q3 - p3 * q2,
+        p0 * q2 - p1 * q3 + p2 * q0 + p3 * q1,
+        p0 * q3 + p1 * q2 - p2 * q1 + p3 * q0,
+    ])
+
+
+def left(a):
+    # matrix of q -> a q, column by column
+    return np.stack([hamilton(a, e) for e in np.eye(4)], axis=1)
+
+
+def right(b):
+    return np.stack([hamilton(e, b) for e in np.eye(4)], axis=1)
+
+
+def unit(angle, axis):
+    axis = np.asarray(axis, dtype=float)
+    return np.concatenate([[np.cos(angle)], np.sin(angle) * axis / np.linalg.norm(axis)])
+
+
+def eig_log(g):
+    # independent oracle: the principal log through the eigendecomposition;
+    # v^{-1}, not v^H, since eig returns no orthonormal basis of a repeated
+    # eigenvalue's eigenspace
+    lam, v = np.linalg.eig(g)
+    return np.real(v @ (np.log(lam)[:, None] * np.linalg.inv(v)))
+
+
+def planar(theta1, theta2):
+    # rotation by theta1 in the (e0, e1) plane and theta2 in the (e2, e3) plane
+    g = np.zeros((4, 4))
+    for k, theta in ((0, theta1), (2, theta2)):
+        c, s = np.cos(theta), np.sin(theta)
+        g[k:k + 2, k:k + 2] = [[c, -s], [s, c]]
+    return g
+
+
+def so4_draws():
+    """Seeded (name, stack of skew 4 x 4) cases: generic draws at every norm of
+    NORMS, and pure left (sum u_r L_{e_r}) and pure right draws, the two su(2)
+    ideals."""
+    rng = np.random.default_rng(404)
+    cases = []
+    for norm in NORMS:
+        cases.append((f"generic-{norm:.3g}", np.stack([random_skew(4, rng, norm=norm)
+                                                       for _ in range(32)])))
+        for name, mult in (("left", left), ("right", right)):
+            u = rng.standard_normal((32, 3))
+            u *= norm / np.linalg.norm(u, axis=1)[:, None]
+            cases.append((f"{name}-{norm:.3g}",
+                          np.stack([mult(np.concatenate([[0.0], w])) for w in u])))
+    return cases
+
+
+SO4_DRAWS = so4_draws()
+
+
+@pytest.mark.parametrize("name, xs", SO4_DRAWS, ids=[name for name, _ in SO4_DRAWS])
+def test_so4_exp_matches_scipy_expm(name, xs):
+    g = exp_alg(xs)
+    assert np.max(np.abs(g - np.stack([expm(x) for x in xs]))) < 1e-14
+
+
+@pytest.mark.parametrize("name, xs", SO4_DRAWS, ids=[name for name, _ in SO4_DRAWS])
+def test_so4_log_matches_eig_log(name, xs):
+    g = np.stack([expm(x) for x in xs])
+    logs = log_grp(g)
+    assert np.all(logs + logs.swapaxes(-1, -2) == 0.0)
+    # the log's condition number grows like 1 / (pi - largest angle)
+    tol = 5e-14 / (np.pi - np.linalg.norm(xs[0], 2))
+    assert np.max(np.abs(logs - np.stack([eig_log(h) for h in g]))) < tol
+    assert np.max(np.abs(logs - xs)) < tol
+
+
+def test_so4_exp_is_a_product_of_left_and_right_rodrigues_factors():
+    rng = np.random.default_rng(5)
+    for _ in range(8):
+        alpha, beta = rng.uniform(0.0, 1.5, 2)
+        a_axis, b_axis = rng.standard_normal((2, 3))
+        xi = (left(np.concatenate([[0.0], alpha * a_axis / np.linalg.norm(a_axis)]))
+              + right(np.concatenate([[0.0], beta * b_axis / np.linalg.norm(b_axis)])))
+        expected = left(unit(alpha, a_axis)) @ right(unit(beta, b_axis))
+        assert np.max(np.abs(exp_alg(xi) - expected)) < 1e-15
+
+
+def test_so4_identity():
+    assert np.array_equal(exp_alg(np.zeros((4, 4))), np.eye(4))
+    assert np.array_equal(log_grp(np.eye(4)), np.zeros((4, 4)))
+
+
+def test_so4_log_flips_the_sign_of_the_quaternion_pair():
+    # g = L_a R_b with angles alpha + beta > pi; the pair (-a, -b) gives the
+    # same g with angles pi - alpha and pi - beta, whose log is principal
+    rng = np.random.default_rng(17)
+    for _ in range(16):
+        alpha, beta = rng.uniform(1.7, np.pi - 0.05, 2)
+        a_axis, b_axis = rng.standard_normal((2, 3))
+        g = left(unit(alpha, a_axis)) @ right(unit(beta, b_axis))
+        xi = log_grp(g)
+        assert np.max(np.abs(xi - eig_log(g))) < 1e-13
+        assert np.max(np.abs(exp_alg(xi) - g)) < 1e-14
+
+
+@pytest.mark.parametrize("g", [
+    planar(np.pi - 1e-9, 0.3),  # alpha + beta: L_{e^{alpha i}} and R_{e^{beta i}} turn together
+    planar(0.3, np.pi - 1e-9),  # |alpha - beta|: they turn against each other
+    -np.eye(4),
+], ids=["alpha-plus-beta", "alpha-minus-beta", "minus-identity"])
+def test_so4_log_domain_error_near_pi(g):
+    with pytest.raises(DomainError, match="within 1e-06 of pi"):
+        log_grp(g)
+
+
+def test_so4_log_inside_the_margin():
+    for g in (planar(np.pi - 1e-5, 0.3), planar(0.3, np.pi - 1e-5)):
+        assert np.max(np.abs(log_grp(g) - eig_log(g))) < 1e-10
+
+
+def test_so4_log_domain_error_anywhere_in_stack(rng):
+    g = np.stack([sample_near_identity(4, 0.5, rng) for _ in range(5)])
+    g[2] = planar(0.3, np.pi - 1e-9)
+    with pytest.raises(DomainError, match="within 1e-06 of pi"):
         log_grp(g)
 
 

@@ -44,12 +44,13 @@ from .loopcocycle import (
 from .matgroup import (
     DomainError,
     adjoint,
-    exp_alg,
+    move_point,
     nerve_point,
     random_frame,
     random_skew,
     sample_haar,
     sample_near_identity,
+    tangent_frame,
     trivialized_difference,
 )
 from .nerve import d_prime, d_second, face_point, face_pushforward, verify_total_cocycle
@@ -336,14 +337,8 @@ def face_pushforward_fd(args, rng):
         point = _haar_point(2, n, rng)
         frame = random_frame(2, n, rng)
         exact = face_pushforward(1, 2, point, frame)
-        hp = nerve_point(
-            [h @ exp_alg(step * xi) for h, xi in zip(point.components, frame.components)], n=n
-        )
-        hm = nerve_point(
-            [h @ exp_alg(-step * xi) for h, xi in zip(point.components, frame.components)], n=n
-        )
-        fp = face_point(1, 2, hp)
-        fm = face_point(1, 2, hm)
+        fp = face_point(1, 2, move_point(point, frame, step))
+        fm = face_point(1, 2, move_point(point, frame, -step))
         base = face_point(1, 2, point)
         fd = trivialized_difference(
             base.components[0], fp.components[0], fm.components[0], step
@@ -398,8 +393,9 @@ def bundle_projection_pullback(args, rng):
             xis = [random_skew(n, rng) for _ in range(q + 1)]
             point = bundle_projection(gs)
             frame = bundle_projection_pushforward(gs, xis)
-            moved_p = bundle_projection([g @ exp_alg(step * x) for g, x in zip(gs, xis)])
-            moved_m = bundle_projection([g @ exp_alg(-step * x) for g, x in zip(gs, xis)])
+            base, flow = nerve_point(gs), tangent_frame(xis)
+            moved_p = bundle_projection(move_point(base, flow, step).components)
+            moved_m = bundle_projection(move_point(base, flow, -step).components)
             for m in range(q):
                 fd = trivialized_difference(
                     point.components[m], moved_p.components[m], moved_m.components[m], step

@@ -10,16 +10,30 @@ domain errors.
 
 from __future__ import annotations
 
+import ctypes
 import os
+import sys
 
 # The matrices are 2 x 2 to 6 x 6, where extra BLAS threads only add
 # overhead; the pool size is read when numpy is first imported.
 for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "BLIS_NUM_THREADS"):
     os.environ.setdefault(_var, "1")
 
+# A suite allocates and frees stacks of 0.1 to a few MB many times.  glibc
+# raises its mmap and trim thresholds only as far as the largest array freed
+# so far, and returns the heap above them to the system, to fault it in again
+# on the next call: 5k to 110k minor page faults per benchmark certificate,
+# and a speed that hangs on the size of the largest array.  Fixed thresholds
+# keep that memory in the heap.
+if sys.platform.startswith("linux"):
+    _mallopt = getattr(ctypes.CDLL(None), "mallopt", None)
+    if _mallopt is not None:
+        _M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+        _mallopt(_M_MMAP_THRESHOLD, 16 << 20)
+        _mallopt(_M_TRIM_THRESHOLD, 32 << 20)
+
 import argparse
 import json
-import sys
 import time
 from dataclasses import dataclass, field
 

@@ -26,6 +26,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, permutations, product
+from typing import Sequence
 
 import numpy as np
 
@@ -254,7 +255,7 @@ def clutching_euler_number(k: int, steps: int = 256) -> float:
 # the simplicial bundle projection gamma: (g_0, ..., g_q) -> (g_0 g_1^{-1}, ...)
 
 
-def bundle_projection(gs: list[np.ndarray]) -> NervePoint:
+def bundle_projection(gs: Sequence[np.ndarray]) -> NervePoint:
     comps = [gs[i] @ gs[i + 1].T for i in range(len(gs) - 1)]
     return nerve_point(comps, n=gs[0].shape[0])
 

@@ -15,7 +15,11 @@ Conventions, used consistently across the package:
 * a sum of words is evaluated from a table built once per sum (see
   WordSumEvaluator): its distinct letters (generator, frame index), its
   distinct factor entries and an index array giving every (word, shuffle)
-  row's factors, which one Pfaffian contraction then sums.
+  row's factors;
+* the S_{2p} sum of a row is taken over the (2p)!/2^p ordered perfect
+  matchings of the factors' skew parts m - m^T (see pfaffian_contraction):
+  the terms of tau and of tau followed by a swap inside one pair cancel into
+  one skew pair value, so p = 3 multiplies out 90 terms instead of 720.
 """
 
 from __future__ import annotations
@@ -183,25 +187,68 @@ def perm_table(m: int) -> tuple[np.ndarray, np.ndarray]:
     return table, signs
 
 
+@lru_cache(maxsize=None)
+def _pair_indices(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Rows and columns of the pairs a < b of range(n), in lexicographic order."""
+    return np.triu_indices(n, 1)
+
+
+@lru_cache(maxsize=None)
+def matching_table(p: int) -> tuple[np.ndarray, np.ndarray]:
+    """The (2p)!/2^p ordered perfect matchings of range(2p) and their signs.
+
+    A matching is a permutation tau with tau(2i-1) < tau(2i) for every i, in
+    the lexicographic order of ``perm_table``; its row lists, for each factor
+    i, the index of the pair (tau(2i-1), tau(2i)) among the pairs a < b in
+    the order of ``_pair_indices``, and its sign is sgn(tau).
+    """
+    n = 2 * p
+    a, b = _pair_indices(n)
+    pair_index = {pair: k for k, pair in enumerate(zip(a.tolist(), b.tolist()))}
+    table, signs = perm_table(n)
+    keep = np.all(table[:, 0::2] < table[:, 1::2], axis=1)
+    rows = [[pair_index[pair] for pair in zip(t[0::2], t[1::2])] for t in table[keep].tolist()]
+    return np.array(rows, dtype=np.intp), signs[keep]
+
+
+def _skew_pairs(m: np.ndarray) -> np.ndarray:
+    """m[..., a, b] - m[..., b, a] for the pairs a < b, in lexicographic order."""
+    a, b = _pair_indices(m.shape[-1])
+    return m[..., a, b] - m[..., b, a]
+
+
+def _contract_matchings(pairs: Sequence[np.ndarray]) -> np.ndarray:
+    """sum over the ordered perfect matchings of sgn * prod_i pairs[i][pair_i].
+
+    Each of the p factors holds the skew pair values (..., n(n-1)/2) of one
+    matrix (see ``_skew_pairs``); the batch shapes broadcast.
+    """
+    table, signs = matching_table(len(pairs))
+    batch = np.broadcast_shapes(*(x.shape[:-1] for x in pairs))
+    # a C-ordered product, so that each sample is one gemv of a lone call
+    prod = np.empty(batch + (len(signs),))
+    prod[...] = pairs[0][..., table[:, 0]]
+    for i in range(1, len(pairs)):
+        prod *= pairs[i][..., table[:, i]]
+    return prod @ signs
+
+
 def pfaffian_contraction(mats: Sequence[np.ndarray]) -> float | np.ndarray:
     """sum_{tau in S_{2p}} sgn(tau) prod_i (mats[i])_{tau(2i-1) tau(2i)}.
 
     Each of the p factors is a (2p, 2p) matrix or a stack (..., 2p, 2p); the
     batch shapes broadcast.  Matrices give a float, stacks an array of the
-    batch shape.
+    batch shape.  The terms of tau and of tau followed by a swap inside one
+    pair have opposite signs, so the sum is taken over the ordered perfect
+    matchings of the skew parts m - m^T: (2p)!/2^p products instead of (2p)!.
     """
     p = len(mats)
     n = 2 * p
     for m in mats:
         if m.shape[-2:] != (n, n):
             raise ValueError(f"expected {p} matrices of shape (..., {n}, {n})")
-    table, signs = perm_table(n)
-    batch = np.broadcast_shapes(*(m.shape[:-2] for m in mats))
-    prod = np.ones(batch + (len(signs),))
-    for i, m in enumerate(mats):
-        prod *= m[..., table[:, 2 * i], table[:, 2 * i + 1]]
-    total = prod @ signs
-    return total if batch else float(total)
+    total = _contract_matchings([_skew_pairs(m) for m in mats])
+    return total if total.ndim else float(total)
 
 
 @lru_cache(maxsize=None)
@@ -267,15 +314,17 @@ class WordSumEvaluator:
     """Evaluator for a sum of WordForms sharing one degree on one level.
 
     All words must have the same number of factors p with n = 2p, so every
-    word is contracted against the same S_{2p} permutation table.
+    word is contracted over the same ordered perfect matchings of range(n).
 
     The sum is a fixed table, built once from the words.  Each row is one
     (word, shuffle) pair with coefficient * sgn(shuffle); its p factor
     matrices are picked from the distinct entries by an (rows, p) index
     array.  An entry is a letter, one generator on one frame, or the wedge
     a(X_i) b(X_j) - a(X_j) b(X_i) of two generators on frames i, j.  A call
-    evaluates each distinct letter once, computes each distinct entry once,
-    gathers the rows with one fancy index and contracts them.
+    evaluates each distinct letter once, computes each distinct entry and its
+    skew pair values once, gathers the rows' pair values with one fancy index
+    and contracts them over the perfect matchings, as pfaffian_contraction
+    does.
     Only word sums take stacked points and frames (see matgroup): the value is
     an array of their batch shape, whose axes come first, so each sample is
     contracted and summed by the BLAS calls of a lone call, bit for bit.
@@ -331,8 +380,8 @@ class WordSumEvaluator:
             table[..., k, :, :] = (
                 vals[e[0]] if len(e) == 1 else vals[e[0]] @ vals[e[1]] - vals[e[2]] @ vals[e[3]]
             )
-        mats = table[..., self._index, :, :]
-        rows = pfaffian_contraction([mats[..., f, :, :] for f in range(self.n // 2)])
+        pairs = _skew_pairs(table)[..., self._index, :]
+        rows = _contract_matchings([pairs[..., f, :] for f in range(self.n // 2)])
         # a dot per sample: one gemv over all samples would round differently
         sums = np.array([self._coeffs @ r for r in rows.reshape(-1, len(self._coeffs))])
         return sums.reshape(shape[:-2]) if shape[:-2] else float(sums[0])

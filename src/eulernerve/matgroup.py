@@ -76,9 +76,10 @@ def log_grp(g: np.ndarray) -> np.ndarray:
     Requires every rotation angle, of every matrix in a stack, to stay at
     least ``LOG_ANGLE_MARGIN`` away from pi; otherwise the principal branch is
     ill-conditioned and a DomainError is raised.  n = 4: two ``atan2`` angles
-    of the quaternion pair g = L_a R_b (see ``_log_so4``).  Other n: orthogonal
-    matrices are normal, so the log is taken through a (unitary)
-    eigendecomposition.
+    of the quaternion pair g = L_a R_b (see ``_log_so4``).  Other n: through
+    the eigendecomposition g = V diag(lambda) V^{-1}.  V is inverted, not
+    conjugate-transposed: eig returns no orthonormal basis of the eigenspace
+    of a repeated angle.
     """
     g = np.asarray(g, dtype=float)
     if g.shape[-1] == 4:
@@ -86,7 +87,7 @@ def log_grp(g: np.ndarray) -> np.ndarray:
     lam, vec = np.linalg.eig(g)
     _check_log_domain(np.abs(np.angle(lam)))
     w = np.log(lam)
-    xi = vec @ (w[..., :, None] * np.conj(vec.swapaxes(-1, -2)))
+    xi = vec @ (w[..., :, None] * np.linalg.inv(vec))
     return skew_project(np.real(xi))
 
 
@@ -303,11 +304,15 @@ def identity_point(n: int, level: int) -> NervePoint:
 
 
 def move_point(p: NervePoint, v: TangentFrame, t: float) -> NervePoint:
-    """Flow p along the left-invariant extension of v for time t."""
-    return NervePoint(
-        n=p.n,
-        components=tuple(h @ exp_alg(t * xi) for h, xi in zip(p.components, v.components)),
-    )
+    """Flow p along the left-invariant extension of v for time t.
+
+    The components' exponentials are one ``exp_alg`` call on their stack
+    (broadcast to a common batch shape), bit-identical to one call each.
+    """
+    if not v.components:
+        return p
+    steps = exp_alg(t * np.stack(np.broadcast_arrays(*v.components)))
+    return NervePoint(n=p.n, components=tuple(h @ e for h, e in zip(p.components, steps)))
 
 
 def frame_bracket(v: TangentFrame, w: TangentFrame) -> TangentFrame:

@@ -196,6 +196,24 @@ def test_wedge2_against_manual_shuffle_sum(rng):
     assert val == pytest.approx(total, rel=1e-12)
 
 
+@pytest.mark.parametrize("p", [1, 2, 3], ids=lambda p: f"p={p}")
+def test_pfaffian_contraction_matches_s2p_sum(p):
+    # The perfect-matching contraction must be the S_{2p} sum itself, for any
+    # square input: seeded non-skew stacks whose batch shapes broadcast.  The
+    # error is measured relative to the sum of the (2p)! |terms|, since the
+    # value itself can cancel to far below them.
+    rng = np.random.default_rng(70 + p)
+    n = 2 * p
+    mats = [rng.standard_normal(((7, 1) if i % 2 == 0 else (3,)) + (n, n)) for i in range(p)]
+    table, signs = perm_table(n)
+    terms = np.ones(np.broadcast_shapes(*(m.shape[:-2] for m in mats)) + signs.shape)
+    for i, m in enumerate(mats):
+        terms = terms * m[..., table[:, 2 * i], table[:, 2 * i + 1]]
+    values = pfaffian_contraction(mats)
+    assert values.shape == terms.shape[:-1]
+    assert np.all(np.abs(values - terms @ signs) <= 1e-14 * np.abs(terms).sum(axis=-1))
+
+
 def _row_loop(ev, p, frames):
     """The word sum built one (word, shuffle) row at a time, every factor
     evaluated from its generators, then contracted as the evaluator does."""

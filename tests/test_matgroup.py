@@ -9,6 +9,9 @@ from eulernerve.matgroup import (
     bracket,
     exp_alg,
     log_grp,
+    move_point,
+    nerve_point,
+    random_frame,
     random_skew,
     sample_haar,
     sample_near_identity,
@@ -215,6 +218,77 @@ def test_stacked_calls_equal_per_matrix_calls():
     )
     xi = rng.standard_normal(g.shape)
     assert np.array_equal(adjoint(g, xi), np.stack([adjoint(a, b) for a, b in zip(g, xi)]))
+
+
+@pytest.mark.parametrize("n", [2, 6])
+def test_eig_path_stacks_equal_per_matrix_calls(n):
+    rng = np.random.default_rng(31)
+    g = np.stack([sample_near_identity(n, 2.0, rng) for _ in range(64)])
+    logs = log_grp(g)
+    assert np.array_equal(logs, np.stack([log_grp(x) for x in g]))
+    assert np.array_equal(exp_alg(logs), np.stack([exp_alg(x) for x in logs]))
+
+
+@pytest.mark.parametrize("n", [2, 4, 6])
+def test_move_point_equals_per_component_flow(n):
+    # one exp_alg call on the stacked components gives each component's bits
+    rng = np.random.default_rng(8)
+    for t in (1e-5, -1e-5, 0.7):
+        p = nerve_point([sample_haar(n, rng) for _ in range(3)])
+        v = random_frame(3, n, rng)
+        moved = move_point(p, v, t).components
+        for h, xi, m in zip(p.components, v.components, moved):
+            assert np.array_equal(m, h @ exp_alg(t * xi))
+    # stacked points broadcast against one-matrix frame components
+    hs = np.stack([sample_haar(n, rng) for _ in range(4)])
+    v = random_frame(2, n, rng)
+    moved = move_point(nerve_point([hs, hs[::-1]]), v, 0.3).components
+    for k in range(4):
+        assert np.array_equal(moved[0][k], hs[k] @ exp_alg(0.3 * v.components[0]))
+        assert np.array_equal(moved[1][k], hs[3 - k] @ exp_alg(0.3 * v.components[1]))
+
+
+# ---------------------------------------------------------------------------
+# n = 6: the eig log
+
+
+def planar6(angles):
+    # skew 6 x 6 turning the planes (e0, e1), (e2, e3), (e4, e5) by angles
+    x = np.zeros((6, 6))
+    for k, theta in zip((0, 2, 4), angles):
+        x[k, k + 1], x[k + 1, k] = -theta, theta
+    return x
+
+
+@pytest.mark.parametrize(
+    "angles",
+    [(0.7, 0.7, 0.3), (1.2, 1.2, 1.2), (2.5, 0.4, 2.5), (0.0, 0.0, 0.9)],
+    ids=["two", "three", "two-apart", "zero-pair"],
+)
+def test_so6_log_of_repeated_angles(angles):
+    # a repeated angle gives eig a repeated eigenvalue, whose eigenvectors it
+    # does not return orthonormal: inverting them by V^H missed x by 0.15 to 1.2
+    rng = np.random.default_rng(66)
+    q = sample_haar(6, rng)
+    x = q @ planar6(angles) @ q.T
+    assert np.max(np.abs(log_grp(expm(x)) - x)) < 1e-13
+
+
+def test_so6_log_of_isoclinic_so4_block():
+    # 0.3 L_i + 0.2 L_j turns two planes by the same angle
+    x = np.zeros((6, 6))
+    x[:4, :4] = 0.3 * left([0.0, 1.0, 0.0, 0.0]) + 0.2 * left([0.0, 0.0, 1.0, 0.0])
+    assert np.max(np.abs(log_grp(expm(x)) - x)) < 1e-14
+
+
+@pytest.mark.parametrize("norm", [1e-8, 0.05, 1.0, 3.0, np.pi - 1e-3])
+def test_so6_log_exp_roundtrip(norm):
+    rng = np.random.default_rng(606)
+    xs = np.stack([random_skew(6, rng, norm=norm) for _ in range(32)])
+    logs = log_grp(expm(xs))
+    assert np.all(logs + logs.swapaxes(-1, -2) == 0.0)
+    # the log's condition number grows like 1 / (pi - largest angle)
+    assert np.max(np.abs(logs - xs)) < 5e-14 / (np.pi - norm)
 
 
 def test_log_domain_error_anywhere_in_stack(rng):

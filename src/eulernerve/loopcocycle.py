@@ -22,12 +22,20 @@ functional analogously carries 1/6.  The relation is pinned by a unit test.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable
 
 import numpy as np
 
 from .euler import builtin_cocycle
-from .matgroup import exp_alg, nerve_point, skew_project, tangent_frame, trivialized_difference
+from .matgroup import (
+    exp_alg,
+    nerve_point,
+    random_skew,
+    skew_project,
+    tangent_frame,
+    trivialized_difference,
+)
 from .simplex import quadrature_rule
 
 LEVEL2_LOOP_SCALE = 0.25
@@ -59,12 +67,17 @@ class LoopElement:
     def n(self) -> int:
         return self.c0.shape[0]
 
-    def value(self, theta: float) -> np.ndarray:
-        out = np.array(self.c0)
+    def values(self, thetas: np.ndarray) -> np.ndarray:
+        """xi at every theta of a 1-d grid: the (nodes, n, n) stack."""
+        thetas = np.asarray(thetas, dtype=float)
+        out = np.broadcast_to(self.c0, thetas.shape + self.c0.shape)
         for k, (a, b) in enumerate(zip(self.cos_coeffs, self.sin_coeffs), start=1):
-            w = 2.0 * np.pi * k * theta
+            w = (2.0 * np.pi * k * thetas)[:, None, None]
             out = out + a * np.cos(w) + b * np.sin(w)
-        return out
+        return np.array(out)
+
+    def value(self, theta: float) -> np.ndarray:
+        return self.values(np.array([theta]))[0]
 
     def derivative(self) -> "LoopElement":
         cos_c = []
@@ -88,8 +101,6 @@ def loop_element(c0, cos_coeffs=(), sin_coeffs=()) -> LoopElement:
 def random_loop(
     n: int, max_freq: int, rng: np.random.Generator, norm: float = 1.0
 ) -> LoopElement:
-    from .matgroup import random_skew
-
     return LoopElement(
         random_skew(n, rng, norm=norm),
         tuple(random_skew(n, rng, norm=norm) for _ in range(max_freq)),
@@ -97,64 +108,88 @@ def random_loop(
     )
 
 
-def loop_bracket(x: LoopElement, y: LoopElement) -> LoopElement:
-    """Pointwise bracket, computed exactly on Fourier coefficients via
-    product-to-sum identities."""
-    kx, ky = x.max_frequency, y.max_frequency
-    kout = kx + ky
-    n = x.n
-    c0 = np.zeros((n, n))
-    cos_c = [np.zeros((n, n)) for _ in range(kout)]
-    sin_c = [np.zeros((n, n)) for _ in range(kout)]
+def _terms(elem: LoopElement) -> np.ndarray:
+    """The coefficient stack c0, a_1, b_1, a_2, b_2, ...: (2K + 1, n, n)."""
+    mats = [elem.c0]
+    for a, b in zip(elem.cos_coeffs, elem.sin_coeffs):
+        mats += [a, b]
+    return np.stack(mats)
 
-    def terms(elem: LoopElement):
-        yield 0, "c", elem.c0
-        for k, (a, b) in enumerate(zip(elem.cos_coeffs, elem.sin_coeffs), start=1):
-            yield k, "c", a
-            yield k, "s", b
 
-    def add(freq: int, kind: str, mat: np.ndarray):
-        nonlocal c0
+@lru_cache(maxsize=None)
+def _bracket_plan(kx: int, ky: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Where each commutator of a term of x and a term of y goes.
+
+    Terms and output slots share the layout of ``_terms``: slot 0 is the
+    constant, 2f - 1 the cos and 2f the sin coefficient of frequency f.
+    Returns (commutator index, output slot, factor) per contribution, in the
+    order (term of x, term of y, then the pair's two product-to-sum terms);
+    sin(0) contributions are dropped.
+    """
+    def term(index: int) -> tuple[int, str]:
+        return (index + 1) // 2, "s" if index > 0 and index % 2 == 0 else "c"
+
+    ny = 2 * ky + 1
+    src, slots, factors = [], [], []
+
+    def add(i: int, freq: int, kind: str, factor: float) -> None:
         if freq == 0:
-            if kind == "c":
-                c0 = c0 + mat
-            # sin(0) == 0: drop
-            return
-        if kind == "c":
-            cos_c[freq - 1] += mat
+            if kind == "s":
+                return  # sin(0) == 0
+            slot = 0
         else:
-            sin_c[freq - 1] += mat
+            slot = 2 * freq - 1 if kind == "c" else 2 * freq
+        src.append(i)
+        slots.append(slot)
+        factors.append(factor)
 
-    for ka, kind_a, ma in terms(x):
-        for kb, kind_b, mb in terms(y):
-            com = ma @ mb - mb @ ma
+    for ia in range(2 * kx + 1):
+        ka, kind_a = term(ia)
+        for ib in range(ny):
+            kb, kind_b = term(ib)
+            i = ia * ny + ib
             s, d = ka + kb, ka - kb
+            sign = 1.0 if d >= 0 else -1.0
             if kind_a == "c" and kind_b == "c":
                 # cos cos = (cos(d) + cos(s)) / 2
-                add(abs(d), "c", 0.5 * com)
-                add(s, "c", 0.5 * com)
+                add(i, abs(d), "c", 0.5)
+                add(i, s, "c", 0.5)
             elif kind_a == "s" and kind_b == "s":
                 # sin sin = (cos(d) - cos(s)) / 2
-                add(abs(d), "c", 0.5 * com)
-                add(s, "c", -0.5 * com)
+                add(i, abs(d), "c", 0.5)
+                add(i, s, "c", -0.5)
             elif kind_a == "s" and kind_b == "c":
                 # sin cos = (sin(s) + sin(d)) / 2
-                add(s, "s", 0.5 * com)
-                sign = 1.0 if d >= 0 else -1.0
-                add(abs(d), "s", sign * 0.5 * com)
+                add(i, s, "s", 0.5)
+                add(i, abs(d), "s", sign * 0.5)
             else:
                 # cos sin = (sin(s) - sin(d)) / 2
-                add(s, "s", 0.5 * com)
-                sign = 1.0 if d >= 0 else -1.0
-                add(abs(d), "s", -sign * 0.5 * com)
-    return LoopElement(c0, tuple(cos_c), tuple(sin_c))
+                add(i, s, "s", 0.5)
+                add(i, abs(d), "s", -sign * 0.5)
+    return np.array(src), np.array(slots), np.array(factors)
+
+
+def loop_bracket(x: LoopElement, y: LoopElement) -> LoopElement:
+    """Pointwise bracket, computed exactly on Fourier coefficients via
+    product-to-sum identities.
+
+    All commutators are one stacked matmul; each output coefficient sums its
+    contributions one at a time, in the plan's order (``np.add.at``).
+    """
+    a, b = _terms(x)[:, None], _terms(y)[None, :]
+    n = x.n
+    com = (a @ b - b @ a).reshape(-1, n, n)
+    src, slots, factors = _bracket_plan(x.max_frequency, y.max_frequency)
+    out = np.zeros((2 * (x.max_frequency + y.max_frequency) + 1, n, n))
+    np.add.at(out, slots, factors[:, None, None] * com[src])
+    return LoopElement(out[0], tuple(out[1::2]), tuple(out[2::2]))
 
 
 # ---------------------------------------------------------------------------
 # the cocycle
 
 
-def pf_pairing(x: np.ndarray, y: np.ndarray) -> float:
+def pf_pairing(x: np.ndarray, y: np.ndarray) -> float | np.ndarray:
     """Polarized Pfaffian pairing on so(4):
     pf(x, y) = sum_{tau in S_4} sgn(tau) x_{tau(1)tau(2)} y_{tau(3)tau(4)}.
 
@@ -166,31 +201,50 @@ def pf_pairing(x: np.ndarray, y: np.ndarray) -> float:
     which equals the S_4 sum for any 4 x 4 input, skew or not.  Swapping x and
     y only commutes the two summands inside each bracket, so the result is
     exactly symmetric in floating point: pf_pairing(x, y) == pf_pairing(y, x).
+
+    Stacks (..., 4, 4) broadcast against each other and give an array of the
+    batch shape, each entry equal to the pairing of its two matrices; two
+    4 x 4 matrices give a float.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    if x.shape != (4, 4) or y.shape != (4, 4):
+    if x.shape[-2:] != (4, 4) or y.shape[-2:] != (4, 4):
         raise ValueError("pf_pairing expects 4 x 4 matrices")
-    a = x - x.T
-    b = y - y.T
-    return float(
-        (a[0, 1] * b[2, 3] + a[2, 3] * b[0, 1])
-        - (a[0, 2] * b[1, 3] + a[1, 3] * b[0, 2])
-        + (a[0, 3] * b[1, 2] + a[1, 2] * b[0, 3])
+    a = x - x.swapaxes(-1, -2)
+    b = y - y.swapaxes(-1, -2)
+    pf = (
+        (a[..., 0, 1] * b[..., 2, 3] + a[..., 2, 3] * b[..., 0, 1])
+        - (a[..., 0, 2] * b[..., 1, 3] + a[..., 1, 3] * b[..., 0, 2])
+        + (a[..., 0, 3] * b[..., 1, 2] + a[..., 1, 2] * b[..., 0, 3])
     )
+    return float(pf) if pf.ndim == 0 else pf
+
+
+def _trapezoid_nodes(xi1: LoopElement, xi2: LoopElement) -> int:
+    """Default trapezoid nodes on [0, 1) for pairing xi1' (or xi2') with the
+    other loop: more than their summed frequencies, so the rule is exact."""
+    return 4 * (xi1.max_frequency + xi2.max_frequency) + 8
+
+
+def _theta_grid(nodes: int) -> np.ndarray:
+    return np.arange(nodes) / nodes
 
 
 def loop_cocycle(xi1: LoopElement, xi2: LoopElement, nodes: int | None = None) -> float:
-    """alpha(xi1, xi2); trapezoid quadrature exact for trig polynomials."""
+    """alpha(xi1, xi2); trapezoid quadrature exact for trig polynomials.
+
+    Both pairings are evaluated on the whole theta grid at once; the sum runs
+    node by node in theta order (a vector sum would round differently).
+    """
     if nodes is None:
-        nodes = 4 * (xi1.max_frequency + xi2.max_frequency) + 8
-    d1 = xi1.derivative()
-    d2 = xi2.derivative()
+        nodes = _trapezoid_nodes(xi1, xi2)
+    theta = _theta_grid(nodes)
+    p = pf_pairing(xi1.derivative().values(theta), xi2.values(theta)).tolist()
+    q = pf_pairing(xi2.derivative().values(theta), xi1.values(theta)).tolist()
     total = 0.0
-    for i in range(nodes):
-        theta = i / nodes
-        total += pf_pairing(d1.value(theta), xi2.value(theta))
-        total -= pf_pairing(d2.value(theta), xi1.value(theta))
+    for p_i, q_i in zip(p, q):
+        total += p_i
+        total -= q_i
     integral = total / nodes
     return float(-integral / (128.0 * np.pi**2))
 
@@ -210,8 +264,8 @@ def cocycle_residual(x1: LoopElement, x2: LoopElement, x3: LoopElement) -> float
 
 def _theta_stack(xi: LoopElement, theta_nodes: int) -> np.ndarray:
     """xi at theta = i / theta_nodes and at theta +- TANGENT_STEP: (3, theta_nodes, n, n)."""
-    return np.stack([[xi.value(i / theta_nodes + d) for i in range(theta_nodes)]
-                     for d in (0.0, TANGENT_STEP, -TANGENT_STEP)])
+    theta = _theta_grid(theta_nodes)
+    return np.stack([xi.values(theta + d) for d in (0.0, TANGENT_STEP, -TANGENT_STEP)])
 
 
 def _theta_sum(values: np.ndarray, weights: np.ndarray, theta_nodes: int) -> float:
@@ -335,10 +389,9 @@ def closed_form_mixed_partial(xi1: LoopElement, xi2: LoopElement) -> float:
     """(-1/(128 pi^2)) sum_tau sgn(tau) int_0^1 (xi1')_{tau(1)tau(2)}
     (xi2)_{tau(3)tau(4)} dtheta: the expected mixed partial of the level-2
     loop functional."""
-    nodes = 4 * (xi1.max_frequency + xi2.max_frequency) + 8
-    d1 = xi1.derivative()
+    nodes = _trapezoid_nodes(xi1, xi2)
+    theta = _theta_grid(nodes)
     total = 0.0
-    for i in range(nodes):
-        theta = i / nodes
-        total += pf_pairing(d1.value(theta), xi2.value(theta))
+    for p_i in pf_pairing(xi1.derivative().values(theta), xi2.values(theta)).tolist():
+        total += p_i
     return float(-(total / nodes) / (128.0 * np.pi**2))

@@ -321,3 +321,166 @@ def test_phi_of_group_coboundary_is_algebra_differential(rng):
         lhs = antisymmetrized_mixed_partial(delta_c, x1, x2)
         rhs = -dc(x1 @ x2 - x2 @ x1)
         assert abs(lhs - rhs) < 1e-5
+
+
+# ---------------------------------------------------------------------------
+# the theta-grid evaluation against the per-theta code it replaced
+#
+# The oracle below is the per-node code that loopcocycle ran before loops
+# were evaluated on the whole theta grid: one 4 x 4 value, bracket term and
+# pairing at a time.  The stacked code does the same elementwise operations in
+# the same order, so every pin is ==.
+
+
+def oracle_value(xi, theta):
+    out = np.array(xi.c0)
+    for k, (a, b) in enumerate(zip(xi.cos_coeffs, xi.sin_coeffs), start=1):
+        w = 2.0 * np.pi * k * theta
+        out = out + a * np.cos(w) + b * np.sin(w)
+    return out
+
+
+def oracle_bracket(x, y):
+    kout = x.max_frequency + y.max_frequency
+    n = x.n
+    c0 = np.zeros((n, n))
+    cos_c = [np.zeros((n, n)) for _ in range(kout)]
+    sin_c = [np.zeros((n, n)) for _ in range(kout)]
+
+    def terms(elem):
+        yield 0, "c", elem.c0
+        for k, (a, b) in enumerate(zip(elem.cos_coeffs, elem.sin_coeffs), start=1):
+            yield k, "c", a
+            yield k, "s", b
+
+    def add(freq, kind, mat):
+        nonlocal c0
+        if freq == 0:
+            if kind == "c":
+                c0 = c0 + mat
+            return
+        if kind == "c":
+            cos_c[freq - 1] += mat
+        else:
+            sin_c[freq - 1] += mat
+
+    for ka, kind_a, ma in terms(x):
+        for kb, kind_b, mb in terms(y):
+            com = ma @ mb - mb @ ma
+            s, d = ka + kb, ka - kb
+            if kind_a == "c" and kind_b == "c":
+                add(abs(d), "c", 0.5 * com)
+                add(s, "c", 0.5 * com)
+            elif kind_a == "s" and kind_b == "s":
+                add(abs(d), "c", 0.5 * com)
+                add(s, "c", -0.5 * com)
+            elif kind_a == "s" and kind_b == "c":
+                add(s, "s", 0.5 * com)
+                sign = 1.0 if d >= 0 else -1.0
+                add(abs(d), "s", sign * 0.5 * com)
+            else:
+                add(s, "s", 0.5 * com)
+                sign = 1.0 if d >= 0 else -1.0
+                add(abs(d), "s", -sign * 0.5 * com)
+    return c0, cos_c, sin_c
+
+
+def oracle_pairing_sum(d1, x2, d2=None, x1=None, *, nodes):
+    total = 0.0
+    for i in range(nodes):
+        theta = i / nodes
+        total += pf_pairing(oracle_value(d1, theta), oracle_value(x2, theta))
+        if d2 is not None:
+            total -= pf_pairing(oracle_value(d2, theta), oracle_value(x1, theta))
+    return total
+
+
+def oracle_cocycle(xi1, xi2, nodes=None):
+    if nodes is None:
+        nodes = 4 * (xi1.max_frequency + xi2.max_frequency) + 8
+    total = oracle_pairing_sum(xi1.derivative(), xi2, xi2.derivative(), xi1, nodes=nodes)
+    return float(-(total / nodes) / (128.0 * np.pi**2))
+
+
+def oracle_closed_form(xi1, xi2):
+    nodes = 4 * (xi1.max_frequency + xi2.max_frequency) + 8
+    total = oracle_pairing_sum(xi1.derivative(), xi2, nodes=nodes)
+    return float(-(total / nodes) / (128.0 * np.pi**2))
+
+
+def oracle_residual(x1, x2, x3):
+    def bracket(x, y):
+        c0, cos_c, sin_c = oracle_bracket(x, y)
+        return loop_element(c0, cos_c, sin_c)
+
+    return (oracle_cocycle(bracket(x1, x2), x3)
+            + oracle_cocycle(bracket(x2, x3), x1)
+            + oracle_cocycle(bracket(x3, x1), x2))
+
+
+FREQS = [(kx, ky) for kx in range(4) for ky in range(4)]
+
+
+@pytest.mark.parametrize("k", range(4))
+def test_values_equal_per_theta_value(k):
+    rng = np.random.default_rng(100 + k)
+    for _ in range(5):
+        xi = random_loop(4, k, rng)
+        for theta in (rng.uniform(-1.0, 2.0, 7), np.arange(13) / 13 + TANGENT_STEP):
+            stack = xi.values(theta)
+            assert stack.shape == (len(theta), 4, 4)
+            for i, th in enumerate(theta.tolist()):
+                assert np.array_equal(stack[i], oracle_value(xi, th))
+                assert np.array_equal(xi.value(th), oracle_value(xi, th))
+
+
+@pytest.mark.parametrize("kx, ky", FREQS)
+def test_bracket_equals_per_term_oracle(kx, ky):
+    rng = np.random.default_rng(10 * kx + ky)
+    for _ in range(5):
+        x, y = random_loop(4, kx, rng), random_loop(4, ky, rng)
+        br = loop_bracket(x, y)
+        c0, cos_c, sin_c = oracle_bracket(x, y)
+        assert br.max_frequency == kx + ky
+        assert np.array_equal(br.c0, c0)
+        for got, want in zip(br.cos_coeffs + br.sin_coeffs, cos_c + sin_c):
+            assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("kx, ky", FREQS)
+def test_cocycle_and_closed_form_equal_per_theta_oracle(kx, ky):
+    rng = np.random.default_rng(1000 + 10 * kx + ky)
+    for _ in range(5):
+        x, y = random_loop(4, kx, rng), random_loop(4, ky, rng)
+        assert loop_cocycle(x, y) == oracle_cocycle(x, y)
+        assert closed_form_mixed_partial(x, y) == oracle_closed_form(x, y)
+        for nodes in (1, 7, 2 * (4 * (kx + ky) + 8)):
+            assert loop_cocycle(x, y, nodes=nodes) == oracle_cocycle(x, y, nodes=nodes)
+
+
+@pytest.mark.parametrize("k", range(4))
+def test_cocycle_residual_equals_per_theta_oracle(k):
+    rng = np.random.default_rng(2000 + k)
+    for _ in range(4):
+        triple = [random_loop(4, k, rng),
+                  *(random_loop(4, int(kk), rng) for kk in rng.integers(0, k + 1, 2))]
+        assert cocycle_residual(*triple) == oracle_residual(*triple)
+
+
+def test_stacked_pairing_equals_per_matrix_calls(rng):
+    x = rng.standard_normal((3, 5, 4, 4))
+    y = rng.standard_normal((5, 4, 4))
+    pf = pf_pairing(x, y)
+    assert pf.shape == (3, 5)
+    assert np.array_equal(pf, pf_pairing(y, x))
+    for i in range(3):
+        for j in range(5):
+            assert pf[i, j] == pf_pairing(x[i, j], y[j])
+    assert isinstance(pf_pairing(x[0, 0], y[0]), float)
+
+
+def test_stacked_pairing_dimension_check():
+    with pytest.raises(ValueError):
+        pf_pairing(np.zeros((3, 6, 6)), np.zeros((3, 6, 6)))
+    with pytest.raises(ValueError):
+        pf_pairing(np.zeros((3, 4, 4)), np.zeros((3, 6, 6)))

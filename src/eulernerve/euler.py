@@ -23,8 +23,8 @@ i.e. the standard Pfaffian divided by (2 pi)^p.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from itertools import combinations, combinations_with_replacement, permutations, product
 from typing import Sequence
 
@@ -55,6 +55,7 @@ from .matgroup import (
     nerve_point,
     tangent_frame,
 )
+from .nerve import Cochain
 from .simplex import monomial_integral
 
 
@@ -77,24 +78,9 @@ def euler_pfaffian(a: np.ndarray) -> float:
 # generated cochain components
 
 
-@dataclass(frozen=True)
-class ComponentWords:
-    """Words of one generated component plus their exact coefficients."""
-
-    level: int
-    degree: int
-    n: int
-    words: tuple[WordForm, ...]
-
-    def form(self) -> FormEvaluator:
-        return word_sum_form(self.level, self.n, self.words)
-
-    def rationals(self) -> set[Fraction]:
-        return {abs(w.rational) for w in self.words}
-
-
-def euler_component_words(p: int, q: int) -> ComponentWords:
-    """Level-(p-q) component of the Euler cocycle, 0 <= q <= p-1.
+def euler_component_words(p: int, q: int) -> tuple[WordForm, ...]:
+    """The words of the level-(p-q) component of the Euler cocycle, with their
+    exact coefficients, 0 <= q <= p-1.
 
     Words consist of the p-q letters phi_{sigma(1)}, ..., phi_{sigma(p-q)}
     interleaved with q square insertions R_ij (i < j labels into the p-q+1
@@ -127,17 +113,17 @@ def euler_component_words(p: int, q: int) -> ComponentWords:
                 if g < m:
                     factors.append(lin(phi(sigma[g])))
             words.append(word(None, factors, rational=sgn * base * integral, pi_power=p))
-    return ComponentWords(level=m, degree=p + q, n=2 * p, words=tuple(words))
+    return tuple(words)
 
 
+@cache
 def euler_component(p: int, q: int) -> FormEvaluator:
-    return euler_component_words(p, q).form()
+    """The generated component of bidegree (p-q, p+q), built once per (p, q)."""
+    return word_sum_form(p - q, 2 * p, euler_component_words(p, q))
 
 
 def generated_cocycle(p: int):
     """All components of the generated Euler cocycle for SO(2p)."""
-    from .nerve import Cochain
-
     comps = {}
     for q in range(p - 1, -1, -1):
         ev = euler_component(p, q)
@@ -149,11 +135,11 @@ def generated_cocycle(p: int):
 # hard-coded low-rank cochains
 
 
+@cache
 def builtin_cocycle(n: int):
     """The explicit Euler cochains for n in {2, 4, 6}, transcribed letter by
-    letter (independent of the generator path)."""
-    from .nerve import Cochain
-
+    letter (independent of the generator path); each is built once and shared,
+    its components read-only."""
     if n == 2:
         w = word(None, [lin(lmc(1))], rational=Fraction(-1, 4), pi_power=1)
         return Cochain(n=2, components={(1, 1): word_sum_form(1, 2, [w])})

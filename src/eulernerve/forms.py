@@ -397,13 +397,17 @@ def word_sum_form(level: int, n: int, words: Sequence[WordForm]) -> FormEvaluato
 # extensions, central differences with one Richardson level)
 
 
+# default central-difference step of the exterior derivative, and so of d''
+EXTERIOR_STEP = 1e-4
+
+
 def _directional(f: Callable[[float], float], step: float) -> float:
     d1 = (f(step) - f(-step)) / (2.0 * step)
     d2 = (f(0.5 * step) - f(-0.5 * step)) / step
     return (4.0 * d2 - d1) / 3.0
 
 
-def exterior_derivative(omega: FormEvaluator, step: float = 1e-4) -> FormEvaluator:
+def exterior_derivative(omega: FormEvaluator, step: float = EXTERIOR_STEP) -> FormEvaluator:
     """d omega via Cartan's formula.
 
     The frames are extended to left-invariant fields, so the derivative terms

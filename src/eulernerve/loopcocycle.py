@@ -317,39 +317,30 @@ def level1_loop_functional(
     t_order: int = 8,
 ) -> float:
     """Integral over S^1 x Delta^2 of the level-1 component pulled back along
-    (theta, t) -> exp((1-t_0) y1 xi1(theta)) exp(t_2 y2 xi2(theta)).
+    (theta, t) -> F S, F = exp((1-t_0) y1 xi1(theta)), S = exp(t_2 y2 xi2(theta)).
 
     This is sigma_2(t; exp(y1 xi1), exp(y2 xi2)) for the first-order
     exp-interpolation sigma_2(t; h_1, h_2) = exp((1-t_0) log h_1) exp(t_2 log h_2),
     with the log of each exponential path written as the path's argument.
-    The component is evaluated once on the (theta, node) grid.
+    The t-direction tangents are exact in left trivialization (t_0
+    compensating): d/dt_1 gives S^T (y1 xi1) S and d/dt_2 gives that plus
+    y2 xi2.  The theta tangent uses a central difference.  The component is
+    evaluated once on the (theta, node) grid.
     """
     e13 = builtin_cocycle(4).components[(1, 3)]
     rule = quadrature_rule(2, t_order)
-    step = TANGENT_STEP
+    nodes = rule.nodes
+    # axes: (theta, theta + step, theta - step), theta node, t node
     x1 = _theta_stack(xi1, theta_nodes)[:, :, None]
     x2 = _theta_stack(xi2, theta_nodes)[:, :, None]
-
-    # the path's two factors at the nodes t (node, 3), on theta grid k of _theta_stack
-    def first(t: np.ndarray, k: int) -> np.ndarray:
-        return exp_alg(((1.0 - t[:, 0]) * y1)[:, None, None] * x1[k])
-
-    def second(t: np.ndarray, k: int) -> np.ndarray:
-        return exp_alg((t[:, 2] * y2)[:, None, None] * x2[k])
-
-    def path(t: np.ndarray, k: int) -> np.ndarray:
-        return first(t, k) @ second(t, k)
-
-    nodes = rule.nodes
-    d1, d2 = np.array([-step, step, 0.0]), np.array([-step, 0.0, step])
-    # d/dt_1 leaves t_2, so the base point's second factor, unchanged
-    fixed = second(nodes, 0)
-    base = first(nodes, 0) @ fixed
-    # d/dt_1 and d/dt_2 (t_0 compensating), then d/dtheta
-    moves = [(first(nodes + d1, 0) @ fixed, first(nodes - d1, 0) @ fixed),
-             (path(nodes + d2, 0), path(nodes - d2, 0)),
-             (path(nodes, 1), path(nodes, 2))]
-    frames = tuple(tangent_frame([trivialized_difference(base, *m, step)]) for m in moves)
+    first = exp_alg(((1.0 - nodes[:, 0]) * y1)[:, None, None] * x1)
+    second = exp_alg((nodes[:, 2] * y2)[:, None, None] * x2)
+    path = first @ second
+    base, s = path[0], second[0]
+    d1 = skew_project(s.swapaxes(-1, -2) @ (y1 * x1[0]) @ s)
+    d2 = d1 + y2 * x2[0]
+    d_theta = trivialized_difference(base, path[1], path[2], TANGENT_STEP)
+    frames = tuple(tangent_frame([d]) for d in (d1, d2, d_theta))
     values = e13.fn(nerve_point([base]), frames)
     return float(LEVEL1_LOOP_SCALE * _theta_sum(values, rule.weights, theta_nodes))
 

@@ -15,11 +15,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
-from typing import Sequence
+from types import MappingProxyType
+from typing import Mapping, Sequence
 
 import numpy as np
 
-from .forms import FormEvaluator, exterior_derivative, scale_form
+from .forms import EXTERIOR_STEP, FormEvaluator, exterior_derivative, scale_form
 from .matgroup import (
     NervePoint,
     TangentFrame,
@@ -83,7 +84,7 @@ def d_prime(omega: FormEvaluator) -> FormEvaluator:
     return FormEvaluator(q, omega.degree, fn)
 
 
-def d_second(omega: FormEvaluator, step: float = 1e-4) -> FormEvaluator:
+def d_second(omega: FormEvaluator, step: float = EXTERIOR_STEP) -> FormEvaluator:
     """(-1)^level times the exterior derivative."""
     d = exterior_derivative(omega, step=step)
     return scale_form(-1.0, d) if omega.level % 2 else d
@@ -91,10 +92,14 @@ def d_second(omega: FormEvaluator, step: float = 1e-4) -> FormEvaluator:
 
 @dataclass(frozen=True)
 class Cochain:
-    """Element of the total complex: bidegree (level, degree) -> form."""
+    """Element of the total complex: bidegree (level, degree) -> form.
+
+    ``components`` is a read-only view of a copy of the mapping passed in, so
+    a cochain can be shared without one caller changing it for another.
+    """
 
     n: int
-    components: dict[tuple[int, int], FormEvaluator]
+    components: Mapping[tuple[int, int], FormEvaluator]
 
     @property
     def total_degree(self) -> int:
@@ -104,6 +109,7 @@ class Cochain:
         return degs.pop()
 
     def __post_init__(self):
+        object.__setattr__(self, "components", MappingProxyType(dict(self.components)))
         for (r, s), form in self.components.items():
             if form.level != r or form.degree != s:
                 raise ValueError(f"component at {(r, s)} has shape "

@@ -26,6 +26,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .euler import builtin_cocycle
 from .forms import FormEvaluator, add_forms
 from .matgroup import (
     NervePoint,
@@ -176,8 +177,6 @@ class LocalCochain:
 
 
 def local_cochain(*, quad_order: int = 8) -> LocalCochain:
-    from .euler import builtin_cocycle
-
     comps = builtin_cocycle(4).components
     mu1 = comps[(1, 3)]
     mu2 = comps[(2, 2)]
@@ -223,8 +222,6 @@ def quadrature_drift(
 ) -> float:
     """|beta_{2,1}| change when the quadrature order doubles, at one sampled
     point and frame."""
-    from .euler import builtin_cocycle
-
     mu2 = builtin_cocycle(4).components[(2, 2)]
     b_lo = transgression_form(mu2, 2, 1, quad_order=quad_order)
     b_hi = transgression_form(mu2, 2, 1, quad_order=2 * quad_order)

@@ -11,7 +11,9 @@ every residual that a change moved, bit for bit.
 ``tests/test_cli.py`` run; each is printed at seeds 0-2.  ``SEED0_CONFIGS``
 (two benchmark certificates and the whole loop suite) are printed at seed 0
 only; the third benchmark certificate, ``verify-generator --p 3 --samples
-10``, is in ``CONFIGS``.
+10``, is in ``CONFIGS``.  ``SEEDED_RUNS`` are (argv, seed) pairs printed at
+their own seed: the two ``verify-generator`` draws where one sample's
+transcribed value cancels to about 1e-6 of the component's size.
 """
 
 from __future__ import annotations
@@ -51,6 +53,10 @@ SEED0_CONFIGS = [
     ["transgress", "--samples", "1", "--radius", "0.1", "--quad-order", "8"],
     ["loop-cocycle", "--trials", "5"],
 ]
+SEEDED_RUNS = [
+    (["verify-generator", "--p", "3", "--samples", "10"], seed)
+    for seed in (13556049, 2161542497)
+]
 
 
 def residual_lines(argv: list[str], seed: int, report_dir: str) -> list[str]:
@@ -74,6 +80,7 @@ def residual_lines(argv: list[str], seed: int, report_dir: str) -> list[str]:
 def main() -> int:
     runs = [(argv, seed) for argv in CONFIGS for seed in SEEDS]
     runs += [(argv, 0) for argv in SEED0_CONFIGS]
+    runs += SEEDED_RUNS
     with tempfile.TemporaryDirectory() as report_dir:
         for argv, seed in runs:
             for line in residual_lines(argv, seed, report_dir):

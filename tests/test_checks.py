@@ -140,6 +140,9 @@ MUTATIONS = {
     "generated-p2-q1": (["verify-generator", "--p", "2"], checks.generator_vs_transcription,
                         checks, "euler_component", tampered_component((2, 1)),
                         "generator vs transcription (p=2, q=1)"),
+    "generated-p3-q0": (["verify-generator", "--p", "3"], checks.generator_vs_transcription,
+                        checks, "euler_component", tampered_component((3, 0)),
+                        "generator vs transcription (p=3, q=0)"),
     "pfaffian": (["pfaffian", "--n", "4", "--trials", "5"], checks.pfaffian,
                  checks, "euler_pfaffian", scaled(euler.euler_pfaffian),
                  "pfaffian^2 = det (relative)"),
@@ -157,3 +160,13 @@ def test_one_percent_mutation_fails(case, monkeypatch):
     monkeypatch.setattr(module, name, replacement)
     result = run_entry(entry, argv, np.random.default_rng(0))
     assert not result[check].passed
+
+
+@pytest.mark.parametrize("case", ["generated-p2-q1", "generated-p3-q0"])
+def test_generator_mutation_fails_by_seven_decades(case, monkeypatch):
+    # the generator gate is relative to the largest transcribed value, so a
+    # 1% error reads about 1e-2 against its 1e-10 tolerance
+    argv, entry, module, name, replacement, check = MUTATIONS[case]
+    monkeypatch.setattr(module, name, replacement)
+    result = run_entry(entry, argv, np.random.default_rng(0))[check]
+    assert result.max_residual > 1e7 * result.tolerance

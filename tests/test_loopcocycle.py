@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 from test_checks import LOOP, run_entry
 
+from eulernerve import loopcocycle
 from eulernerve.checks import loop_cocycle_residual, pairing_ad_invariance, worked_example
 from eulernerve.euler import pfaffian_contraction
-from eulernerve.forms import perm_table
+from eulernerve.forms import FormEvaluator, perm_table
 from eulernerve.loopcocycle import (
     LEVEL1_LOOP_SCALE,
     LEVEL2_LOOP_SCALE,
@@ -26,9 +27,11 @@ from eulernerve.matgroup import (
     exp_alg,
     nerve_point,
     random_skew,
+    skew_project,
     tangent_frame,
     trivialized_difference,
 )
+from eulernerve.nerve import Cochain
 from eulernerve.simplex import quadrature_rule
 
 ZERO = np.zeros((4, 4))
@@ -195,31 +198,62 @@ def per_node_level1(y1, xi1, y2, xi2, *, theta_nodes, t_order):
     rule = quadrature_rule(2, t_order)
     step = TANGENT_STEP
 
+    def factors(t_vec, th):
+        return (exp_alg((1.0 - t_vec[0]) * y1 * xi1.value(th)),
+                exp_alg(t_vec[2] * y2 * xi2.value(th)))
+
     def point_at(t_vec, th):
-        return (exp_alg((1.0 - t_vec[0]) * y1 * xi1.value(th))
-                @ exp_alg(t_vec[2] * y2 * xi2.value(th)))
+        f, s = factors(t_vec, th)
+        return f @ s
 
     total = 0.0
     for i in range(theta_nodes):
         theta = i / theta_nodes
         for node, w in zip(rule.nodes, rule.weights):
-            base = point_at(node, theta)
-            tangents = []
-            for a in (1, 2):
-                tp = np.array(node)
-                tm = np.array(node)
-                tp[a] += step
-                tp[0] -= step
-                tm[a] -= step
-                tm[0] += step
-                diff = trivialized_difference(base, point_at(tp, theta), point_at(tm, theta), step)
-                tangents.append(tangent_frame([diff]))
-            diff = trivialized_difference(
+            f, s = factors(node, theta)
+            base = f @ s
+            d1 = skew_project(s.T @ (y1 * xi1.value(theta)) @ s)
+            d2 = d1 + y2 * xi2.value(theta)
+            d_theta = trivialized_difference(
                 base, point_at(node, theta + step), point_at(node, theta - step), step
             )
-            tangents.append(tangent_frame([diff]))
-            total += w * e13.fn(nerve_point([base]), tuple(tangents)) / theta_nodes
+            tangents = tuple(tangent_frame([d]) for d in (d1, d2, d_theta))
+            total += w * e13.fn(nerve_point([base]), tangents) / theta_nodes
     return float(LEVEL1_LOOP_SCALE * total)
+
+
+def test_level1_exact_tangents_match_central_differences(monkeypatch):
+    # the frames that level1_loop_functional hands to E_{1,3}, captured by a
+    # stand-in component, against central differences of the path
+    # exp((t_1 + t_2) y1 xi1) exp(t_2 y2 xi2) along t_1 and t_2 (t_0 compensating)
+    captured = []
+
+    def spy(point, frames):
+        captured.append(frames)
+        return np.zeros(point.components[0].shape[:-2])
+
+    stand_in = Cochain(n=4, components={(1, 3): FormEvaluator(1, 3, spy)})
+    monkeypatch.setattr(loopcocycle, "builtin_cocycle", lambda n: stand_in)
+    rng = np.random.default_rng(17)
+    theta_nodes, t_order, step = 3, 2, TANGENT_STEP
+    nodes = quadrature_rule(2, t_order).nodes
+    for _ in range(8):
+        y1, y2 = rng.uniform(-2.0, 2.0, size=2)
+        xi1, xi2 = random_loop(4, 1, rng, norm=0.8), random_loop(4, 1, rng, norm=0.8)
+        level1_loop_functional(y1, xi1, y2, xi2, theta_nodes=theta_nodes, t_order=t_order)
+        d1, d2 = (frame.components[0] for frame in captured.pop()[:2])
+        for i in range(theta_nodes):
+            x1, x2 = xi1.value(i / theta_nodes), xi2.value(i / theta_nodes)
+
+            def path(t1, t2):
+                return exp_alg((t1 + t2) * y1 * x1) @ exp_alg(t2 * y2 * x2)
+
+            for j, (_, t1, t2) in enumerate(nodes):
+                base = path(t1, t2)
+                fd1 = trivialized_difference(base, path(t1 + step, t2), path(t1 - step, t2), step)
+                fd2 = trivialized_difference(base, path(t1, t2 + step), path(t1, t2 - step), step)
+                assert np.max(np.abs(d1[i, j] - fd1)) < 1e-8
+                assert np.max(np.abs(d2[i, j] - fd2)) < 1e-8
 
 
 @pytest.mark.parametrize("y1, y2", [(1e-3, -1e-3), (-1e-3, 1e-3)])

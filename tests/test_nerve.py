@@ -190,3 +190,14 @@ def test_cochain_validates_bidegrees():
     bad = builtin_cocycle(4).components[(1, 3)]
     with pytest.raises(ValueError):
         Cochain(n=4, components={(2, 2): bad})
+
+
+def test_cochain_components_are_read_only():
+    shared = builtin_cocycle(4)
+    with pytest.raises(TypeError):
+        shared.components[(1, 3)] = shared.components[(2, 2)]
+    # a cochain keeps its own copy of the mapping it was given
+    components = dict(shared.components)
+    cochain = Cochain(n=4, components=components)
+    components.pop((1, 3))
+    assert set(cochain.components) == {(1, 3), (2, 2)}

@@ -34,6 +34,7 @@ if sys.platform.startswith("linux"):
 
 import argparse
 import json
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -73,8 +74,8 @@ class Report:
 def _positive(kind):
     def parse(text):
         value = kind(text)
-        if value <= 0:
-            raise argparse.ArgumentTypeError(f"expected a positive value, got {text}")
+        if not (value > 0 and math.isfinite(value)):
+            raise argparse.ArgumentTypeError(f"expected a finite positive value, got {text}")
         return value
 
     return parse

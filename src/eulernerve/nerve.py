@@ -8,13 +8,13 @@ Face operators on NG(q) = G^q:
 
 The simplicial differential d' is the alternating sum of face pullbacks; the
 form differential d'' is (-1)^level times the exterior derivative.  Their sum
-is the total differential whose kernel the verification routines probe.
+is the total differential; ``verify_total_cocycle`` samples its two
+contributions on a cochain, and ``checks.total_cocycle`` gates their sums.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
 from types import MappingProxyType
 from typing import Mapping, Sequence
 
@@ -117,45 +117,24 @@ class Cochain:
         self.total_degree  # validates homogeneity
 
 
-@dataclass
-class ResidualReport:
-    """Outcome of a total-cocycle check."""
-
-    max_residual: float
-    bidegree_residuals: dict[str, float]
-    sign_assignment: dict[str, int] | None
-    consistent_assignments: int
-    passed: bool
-
-
 def verify_total_cocycle(
-    cochain: Cochain,
-    *,
-    samples: int,
-    tol: float,
-    rng: np.random.Generator,
-    frame_norm: float = 1.0,
-) -> ResidualReport:
+    cochain: Cochain, *, samples: int, rng: np.random.Generator
+) -> dict[tuple[int, int], list[dict[tuple[int, int], float]]]:
     """Sample the components of (d' + d'') applied to the cochain at Haar
-    points of SO(n).
+    points of SO(n) with unit-norm frames.
 
-    For every adjacent bidegree the two contributions (d' of the component one
-    level below, d'' of the component one degree below) are evaluated
-    separately on shared sample points, so an audit can search the
-    per-component sign flips {+-1} for the unique assignment (first component
-    fixed to +1) under which all residuals vanish.
+    For every bidegree (R, S) of the image, the contributions (d' of the
+    component one level below, d'' of the component one degree below) are
+    evaluated separately on shared sample points.  Returns, per (R, S), one
+    ``{source bidegree: contribution}`` per sample; their sum is the
+    residual, and a sign-flip audit reweights the sources.
     """
     comps = cochain.components
-    keys = sorted(comps)
     n = cochain.n
-
-    # contributions[(R, S)] = list of (source_key, evaluator)
+    images = {(r + 1, s) for r, s in comps} | {(r, s + 1) for r, s in comps}
+    # contributions[(R, S)] = list of (source bidegree, evaluator)
     contributions: dict[tuple[int, int], list[tuple[tuple[int, int], FormEvaluator]]] = {}
-    out_bidegrees = set()
-    for (r, s) in keys:
-        out_bidegrees.add((r + 1, s))
-        out_bidegrees.add((r, s + 1))
-    for R, S in sorted(out_bidegrees):
+    for R, S in sorted(images):
         parts = []
         if (R - 1, S) in comps:
             parts.append(((R - 1, S), d_prime(comps[(R - 1, S)])))
@@ -169,38 +148,6 @@ def verify_total_cocycle(
     for _ in range(samples):
         for (R, S), parts in contributions.items():
             point = nerve_point([sample_haar(n, rng) for _ in range(R)], n=n)
-            frames = tuple(random_frame(R, n, rng, norm=frame_norm) for _ in range(S))
+            frames = tuple(random_frame(R, n, rng) for _ in range(S))
             values[(R, S)].append({src: ev.fn(point, frames) for src, ev in parts})
-
-    def max_residuals(signs: dict[tuple[int, int], int]) -> tuple[float, dict[str, float]]:
-        per_bd: dict[str, float] = {}
-        worst = 0.0
-        for bd, rows in values.items():
-            m = 0.0
-            for row in rows:
-                m = max(m, abs(sum(signs[src] * val for src, val in row.items())))
-            per_bd[f"{bd[0]},{bd[1]}"] = m
-            worst = max(worst, m)
-        return worst, per_bd
-
-    base_signs = {k: 1 for k in keys}
-    base_max, base_per = max_residuals(base_signs)
-
-    assignment = None
-    consistent = 0
-    first, rest = keys[0], keys[1:]
-    for flips in product((1, -1), repeat=len(rest)):
-        signs = {first: 1, **dict(zip(rest, flips))}
-        worst, _ = max_residuals(signs)
-        if worst < tol:
-            consistent += 1
-            if assignment is None:
-                assignment = {f"{k[0]},{k[1]}": signs[k] for k in keys}
-
-    return ResidualReport(
-        max_residual=base_max,
-        bidegree_residuals=base_per,
-        sign_assignment=assignment,
-        consistent_assignments=consistent,
-        passed=base_max < tol,
-    )
+    return values

@@ -12,8 +12,9 @@ to fiber-integrate the Euler components mu_m into forms
 
 on U^{m+q-1}.  For p = 2 the sums eta_0 = beta_{2,2} + beta_{1,3} (functions
 on U^3) and eta_1 = beta_{2,1} + beta_{1,2} (1-forms on U^2) form a cocycle of
-the total complex truncated to form degrees < 2; the verification routine
-samples the two surviving components of its total differential.
+the total complex truncated to form degrees < 2: the two surviving
+components of its total differential, d' eta_0 and d' eta_1 + d'' eta_0,
+vanish (``checks.truncated_cocycle`` samples them).
 
 Fiber integration slots the simplex directions first:
 (int_{Delta^q} alpha)(X_1, ..., X_s) = int alpha(dt_1, ..., dt_q, X_1, ...).
@@ -34,18 +35,14 @@ from .matgroup import (
     exp_alg,
     log_grp,
     nerve_point,
-    random_frame,
-    sample_near_identity,
     tangent_frame,
     trivialized_difference,
 )
-from .nerve import d_prime, d_second
 from .simplex import quadrature_rule
 
 _APEX_EPS = 1e-13
-# central-difference steps: the tangents of the level maps, and d'' of eta_0
+# central-difference step of the tangents of the level maps
 FD_STEP = 1e-4
-D2_STEP = 1e-3
 
 
 def contraction(l: int, t: Sequence[float], hs: Sequence[np.ndarray]) -> np.ndarray:
@@ -142,7 +139,7 @@ def transgression_form(
         base = contract_nodes(nodes, hs)
         # per direction: tangents of the passed-through slots (the same at
         # every node) and of the contracted slot (one per node)
-        still = trivialized_difference(kept, kept, kept, FD_STEP)
+        still = np.zeros_like(kept)
         directions = [
             (still, trivialized_difference(base, contract_nodes(tp, hs),
                                            contract_nodes(tm, hs), FD_STEP))
@@ -185,46 +182,3 @@ def local_cochain(*, quad_order: int = 8) -> LocalCochain:
     beta21 = transgression_form(mu2, 2, 1, quad_order=quad_order)
     beta12 = transgression_form(mu1, 1, 2, quad_order=quad_order)
     return LocalCochain(eta0=add_forms(beta22, beta13), eta1=add_forms(beta21, beta12))
-
-
-def _sample_point(level: int, radius: float, rng: np.random.Generator) -> NervePoint:
-    return nerve_point([sample_near_identity(4, radius, rng) for _ in range(level)], n=4)
-
-
-def truncated_cocycle_residuals(
-    lc: LocalCochain,
-    *,
-    samples: int = 10,
-    radius: float = 0.1,
-    rng: np.random.Generator,
-) -> tuple[float, float]:
-    """Sample the two surviving components of the total differential of eta
-    and return the largest |value| of each:
-
-    degree 0 on U^4, the simplicial differential d' eta_0;
-    degree 1 on U^3, d' eta_1 + d'' eta_0.
-    """
-    eq0 = d_prime(lc.eta0)
-    eq1 = add_forms(d_prime(lc.eta1), d_second(lc.eta0, step=D2_STEP))
-    r0 = 0.0
-    r1 = 0.0
-    for _ in range(samples):
-        p4 = _sample_point(4, radius, rng)
-        r0 = max(r0, abs(eq0.fn(p4, ())))
-        p3 = _sample_point(3, radius, rng)
-        frame = (random_frame(3, 4, rng),)
-        r1 = max(r1, abs(eq1.fn(p3, frame)))
-    return float(r0), float(r1)
-
-
-def quadrature_drift(
-    *, radius: float = 0.1, quad_order: int = 8, rng: np.random.Generator
-) -> float:
-    """|beta_{2,1}| change when the quadrature order doubles, at one sampled
-    point and frame."""
-    mu2 = builtin_cocycle(4).components[(2, 2)]
-    b_lo = transgression_form(mu2, 2, 1, quad_order=quad_order)
-    b_hi = transgression_form(mu2, 2, 1, quad_order=2 * quad_order)
-    p2 = _sample_point(2, radius, rng)
-    v = (random_frame(2, 4, rng),)
-    return float(abs(b_lo.fn(p2, v) - b_hi.fn(p2, v)))

@@ -2,10 +2,13 @@
 
     PYTHONPATH=src python tests/residual_hex.py > new.txt
 
-Each line reads ``argv | seed | check name | float.hex(max_residual)``.  The
-script reads only ``cli.main`` and the JSON report, so running it against an
-older tree (``PYTHONPATH=<old tree>/src``) and diffing the two outputs shows
-every residual that a change moved, bit for bit.
+Each line reads ``argv | seed | check name | float.hex(max_residual)``; a
+report that carries the total-cocycle sign audit adds one line for each of
+its fields, ``argv | seed | sign_assignment | <json>`` and ``argv | seed |
+consistent_assignments | <count>``.  The script reads only ``cli.main`` and
+the JSON report, so running it against an older tree (``PYTHONPATH=<old
+tree>/src``) and diffing the two outputs shows every residual and audit
+result that a change moved, bit for bit.
 
 ``CONFIGS`` is also the table that ``tests/test_checks.py`` and
 ``tests/test_cli.py`` run; each is printed at seeds 0-2.  ``SEED0_CONFIGS``
@@ -48,6 +51,8 @@ CONFIGS = [
     ["loop-cocycle", "--trials", "20", "--max-freq", "3"],
 ]
 SEEDS = (0, 1, 2)
+# report-level fields of the total-cocycle sign audit
+AUDIT_KEYS = ("sign_assignment", "consistent_assignments")
 SEED0_CONFIGS = [
     ["verify-euler", "--n", "6", "--samples", "4"],
     ["transgress", "--samples", "1", "--radius", "0.1", "--quad-order", "8"],
@@ -71,10 +76,15 @@ def residual_lines(argv: list[str], seed: int, report_dir: str) -> list[str]:
     with open(path) as fh:
         report = json.load(fh)
     os.remove(path)
-    return [
+    lines = [
         f"{label} | {seed} | {c['name']} | {float(c['max_residual']).hex()}"
         for c in report["checks"]
     ]
+    lines += [
+        f"{label} | {seed} | {key} | {json.dumps(report[key], sort_keys=True)}"
+        for key in AUDIT_KEYS if key in report
+    ]
+    return lines
 
 
 def main() -> int:

@@ -4,10 +4,15 @@ The check names are written out here, not read from the registry, so a
 renamed, dropped or reordered check fails a test.
 """
 
+import importlib
+import inspect
+import pkgutil
+
 import numpy as np
 import pytest
 from residual_hex import CONFIGS
 
+import eulernerve
 from eulernerve import checks, euler
 from eulernerve.checks import SUITES
 from eulernerve.cli import build_parser
@@ -100,6 +105,18 @@ def test_entry(argv, index, entry):
     result = run_entry(entry, argv, np.random.default_rng(0))
     assert tuple(result) == names[index]
     assert [c.name for c in result.values() if not c.passed] == []
+
+
+def test_only_the_registry_takes_a_tolerance():
+    # gates live in checks and cli; library functions return values
+    for info in pkgutil.iter_modules(eulernerve.__path__):
+        if info.name in ("checks", "cli"):
+            continue
+        module = importlib.import_module(f"eulernerve.{info.name}")
+        for name, fn in inspect.getmembers(module, inspect.isfunction):
+            if name.startswith("_") or fn.__module__ != module.__name__:
+                continue
+            assert "tol" not in inspect.signature(fn).parameters, f"{info.name}.{name}"
 
 
 # ---------------------------------------------------------------------------

@@ -18,6 +18,9 @@ BAD_ARGUMENTS = [
     (["euler-number", "--samples", "3"], "--samples"),
     (["loop-cocycle", "--samples", "3"], "--samples"),
     (["verify-euler", "--fd-step", "1e-3"], "--fd-step"),
+    (["transgress", "--radius", "nan", "--samples", "1", "--quad-order", "2"], "--radius"),
+    (["pfaffian", "--n", "4", "--trials", "2", "--tol", "inf"], "--tol"),
+    (["pfaffian", "--n", "4", "--trials", "2", "--tol", "nan"], "--tol"),
 ]
 
 

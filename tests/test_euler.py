@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from test_checks import run_entry
 
+from eulernerve import checks
 from eulernerve.checks import clutching_winding, generator_vs_transcription, pfaffian
 from eulernerve.euler import (
     builtin_cocycle,
@@ -260,8 +261,10 @@ def test_words_to_json_counts():
     assert sample["factors"][0]["entry"][0] in range(1, 5)
 
 
-def test_generated_cocycle_is_total_cocycle(rng):
-    from eulernerve.nerve import verify_total_cocycle
-
-    report = verify_total_cocycle(generated_cocycle(2), samples=5, tol=1e-5, rng=rng)
-    assert report.passed
+def test_generated_cocycle_is_total_cocycle(rng, monkeypatch):
+    monkeypatch.setattr(checks, "builtin_cocycle", lambda n: generated_cocycle(2))
+    result = run_entry(checks.total_cocycle,
+                       ["verify-euler", "--n", "4", "--samples", "5", "--tol", "1e-5"], rng)
+    residuals = [c for name, c in result.items() if name.startswith("total-cocycle residual")]
+    assert len(residuals) == 3
+    assert all(c.passed for c in residuals)

@@ -3,12 +3,14 @@ import pytest
 from scipy.linalg import expm
 from test_checks import run_entry
 
+from eulernerve import checks, nerve
 from eulernerve.checks import d_prime_squared, simplicial_identities, total_cocycle
 from eulernerve.euler import builtin_cocycle
 from eulernerve.forms import (
     FormEvaluator,
     lin,
     rmc,
+    scale_form,
     square,
     word,
     word_sum_form,
@@ -26,7 +28,6 @@ from eulernerve.nerve import (
     d_second,
     face_point,
     face_pushforward,
-    verify_total_cocycle,
 )
 
 
@@ -163,9 +164,7 @@ def test_verify_so2_cochain(rng):
     assert all(c.passed for c in result.values())
 
 
-def test_verify_detects_perturbation(rng):
-    from eulernerve.forms import scale_form
-
+def test_verify_detects_perturbation(rng, monkeypatch):
     base = builtin_cocycle(4)
     tampered = Cochain(
         n=4,
@@ -174,16 +173,27 @@ def test_verify_detects_perturbation(rng):
             (2, 2): base.components[(2, 2)],
         },
     )
-    report = verify_total_cocycle(tampered, samples=5, tol=1e-5, rng=rng, frame_norm=2.5)
-    assert not report.passed
-    assert report.max_residual > 100 * 1e-5
+    # frames of norm 2.5, from the same draws as at norm 1: at norm 1 the
+    # tampered residual reads only about 1.6e-4
+    monkeypatch.setattr(nerve, "random_frame",
+                        lambda level, n, rng: random_frame(level, n, rng, norm=2.5))
+    argv = ["verify-euler", "--n", "4", "--samples", "5", "--tol", "1e-5"]
+
+    def run(cochain, rng):
+        monkeypatch.setattr(checks, "builtin_cocycle", lambda n: cochain)
+        result = run_entry(total_cocycle, argv, rng)
+        residual = max(c.max_residual for name, c in result.items()
+                       if name.startswith("total-cocycle residual"))
+        return residual, result
+
+    residual, result = run(tampered, rng)
+    assert not all(c.passed for c in result.values())
+    assert residual > 100 * 1e-5
     # and no sign flip can repair a scaled component
-    assert report.consistent_assignments == 0
+    assert result["unique sign assignment"].extra["consistent_assignments"] == 0
     # the unperturbed cochain stays far below tolerance on the same frames
-    clean = verify_total_cocycle(
-        base, samples=5, tol=1e-5, rng=np.random.default_rng(99), frame_norm=2.5
-    )
-    assert clean.max_residual < 1e-8
+    clean, _ = run(base, np.random.default_rng(99))
+    assert clean < 1e-8
 
 
 def test_cochain_validates_bidegrees():

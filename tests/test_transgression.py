@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
+from test_checks import run_entry
 
+from eulernerve import checks
+from eulernerve.checks import order_doubling_drift, truncated_cocycle
 from eulernerve.euler import builtin_cocycle
 from eulernerve.forms import add_forms, scale_form
 from eulernerve.matgroup import (
@@ -21,9 +24,7 @@ from eulernerve.transgression import (
     contraction,
     level_map,
     local_cochain,
-    quadrature_drift,
     transgression_form,
-    truncated_cocycle_residuals,
 )
 
 
@@ -213,11 +214,16 @@ def test_beta_quadrature_order_doubling(rng):
 # the truncated cocycle
 
 
+DEGREE_1 = "degree-1 residual (d' eta1 + d'' eta0)"
+
+
 def test_truncated_cocycle_residuals(rng):
-    eta0_residual, eta1_residual = truncated_cocycle_residuals(local_cochain(), samples=3, rng=rng)
-    assert eta0_residual < 1e-3
-    assert eta1_residual < 1e-3
-    assert quadrature_drift(rng=rng) < 1e-6
+    argv = ["transgress", "--samples", "3"]
+    residuals = run_entry(truncated_cocycle, argv, rng)
+    assert residuals["degree-0 residual (d' eta0)"].max_residual < 1e-3
+    assert residuals[DEGREE_1].max_residual < 1e-3
+    drift = run_entry(order_doubling_drift, argv, rng)
+    assert drift["quadrature order-doubling drift"].max_residual < 1e-6
 
 
 def test_truncated_cocycle_identity_sample(rng):
@@ -226,18 +232,23 @@ def test_truncated_cocycle_identity_sample(rng):
     assert lc.eta1.fn(identity_point(4, 2), (random_frame(2, 4, rng),)) == 0.0
 
 
-def test_perturbed_component_detected(rng):
+def test_perturbed_component_detected(monkeypatch):
     # a 1% perturbation of one fiber-integrated component must grow the
     # degree-1 residual by far more than 10x (the balance is exact; the clean
-    # residual is pure finite-difference noise)
+    # residual is pure finite-difference noise).  The transgress gate is
+    # absolute at 1e-3, so the perturbed cochain still passes it.
     lc = local_cochain()
     mu = builtin_cocycle(4).components
     beta21 = transgression_form(mu[(2, 2)], 2, 1)
     beta12 = transgression_form(mu[(1, 3)], 1, 2)
     perturbed = LocalCochain(lc.eta0, add_forms(scale_form(1.01, beta21), beta12))
-    _, baseline = truncated_cocycle_residuals(lc, samples=3, rng=np.random.default_rng(7))
-    _, tampered = truncated_cocycle_residuals(
-        perturbed, samples=3, rng=np.random.default_rng(7)
-    )
+    argv = ["transgress", "--samples", "3"]
+
+    def degree_1(eta):
+        monkeypatch.setattr(checks, "local_cochain", lambda *, quad_order: eta)
+        return run_entry(truncated_cocycle, argv, np.random.default_rng(7))[DEGREE_1].max_residual
+
+    baseline = degree_1(lc)
+    tampered = degree_1(perturbed)
     assert tampered > 10 * max(baseline, 1e-12)
     assert tampered > 1e3 * baseline

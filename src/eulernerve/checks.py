@@ -16,6 +16,11 @@ the values that the library returns over them and compare the result with a
 tolerance.  No function outside this module and ``cli`` takes a tolerance or
 takes a maximum over random draws, so an entry has each separate
 contribution of a residual in hand where it builds the ``Check``.
+
+Every maximum over samples is ``np.maximum`` or ``np.max``, which return NaN
+when any value is NaN, so a NaN residual fails its gate.  The builtin ``max``
+keeps its running value when the next one is NaN, and would drop a NaN on
+any sample but the first.
 """
 
 from __future__ import annotations
@@ -99,7 +104,7 @@ def _haar_point(level, n, rng):
 
 
 def _max_abs_difference(xs, ys) -> float:
-    return max(float(np.max(np.abs(a - b))) for a, b in zip(xs, ys))
+    return float(np.max([np.max(np.abs(a - b)) for a, b in zip(xs, ys)]))
 
 
 def _matrix_form(gen):
@@ -115,7 +120,8 @@ def _residual_maxima(values, signs):
     """Per image bidegree, the largest |signed sum of the contributions| over
     the samples."""
     return {
-        bd: max(abs(sum(signs[src] * value for src, value in row.items())) for row in rows)
+        bd: float(np.max([abs(sum(signs[src] * value for src, value in row.items()))
+                          for row in rows]))
         for bd, rows in values.items()
     }
 
@@ -134,7 +140,7 @@ def total_cocycle(args, rng):
     consistent = []
     for flips in product((1, -1), repeat=len(keys) - 1):
         signs = dict(zip(keys, (1, *flips)))
-        if max(_residual_maxima(values, signs).values()) < args.tol:
+        if np.max(list(_residual_maxima(values, signs).values())) < args.tol:
             consistent.append({f"{r},{s}": sign for (r, s), sign in signs.items()})
     checks.append(Check(
         "unique sign assignment", abs(len(consistent) - 1), 0.5,
@@ -171,8 +177,8 @@ def generator_vs_transcription(args, rng):
                 frames = tuple(random_frame(key[0], n, rng) for _ in range(key[1]))
                 a = gen.fn(point, frames)
                 b = built.fn(point, frames)
-                diff = max(diff, abs(a - b))
-                size = max(size, abs(b))
+                diff = np.maximum(diff, abs(a - b))
+                size = np.maximum(size, abs(b))
             checks.append(Check(f"generator vs transcription (p={p}, q={q})",
                                 diff / max(size, 1e-300), args.tol))
     return checks
@@ -192,10 +198,10 @@ def pfaffian(args, rng):
         pf_a = euler_pfaffian(a)
         pf = (2 * np.pi) ** p * pf_a
         det = np.linalg.det(a)
-        worst_det = max(worst_det, abs(pf**2 - det) / max(abs(det), 1e-300))
+        worst_det = np.maximum(worst_det, abs(pf**2 - det) / max(abs(det), 1e-300))
         g = sample_haar(n, rng)
         pf2 = euler_pfaffian(adjoint(g, a))
-        worst_inv = max(worst_inv, abs(pf2 - pf_a) / max(abs(pf_a), 1e-300))
+        worst_inv = np.maximum(worst_inv, abs(pf2 - pf_a) / max(abs(pf_a), 1e-300))
     return [
         Check("pfaffian^2 = det (relative)", worst_det, args.tol),
         Check("conjugation invariance (relative)", worst_inv, 1e-10),
@@ -237,10 +243,10 @@ def truncated_cocycle(args, rng):
     d2_eta0 = d_second(eta.eta0, step=D2_STEP)
     r0 = r1 = 0.0
     for _ in range(args.samples):
-        r0 = max(r0, abs(d_eta0.fn(_near_identity_point(4, args.radius, rng), ())))
+        r0 = np.maximum(r0, abs(d_eta0.fn(_near_identity_point(4, args.radius, rng), ())))
         point = _near_identity_point(3, args.radius, rng)
         frame = (random_frame(3, 4, rng),)
-        r1 = max(r1, abs(d_eta1.fn(point, frame) + d2_eta0.fn(point, frame)))
+        r1 = np.maximum(r1, abs(d_eta1.fn(point, frame) + d2_eta0.fn(point, frame)))
     return [
         Check("degree-0 residual (d' eta0)", r0, args.tol),
         Check("degree-1 residual (d' eta1 + d'' eta0)", r1, args.tol),
@@ -268,7 +274,7 @@ def pairing_ad_invariance(args, rng):
     worst = 0.0
     for _ in range(args.trials):
         z, a, b = (random_skew(4, rng) for _ in range(3))
-        worst = max(worst, abs(pf_pairing(z @ a - a @ z, b) + pf_pairing(a, z @ b - b @ z)))
+        worst = np.maximum(worst, abs(pf_pairing(z @ a - a @ z, b) + pf_pairing(a, z @ b - b @ z)))
     return [Check("pairing ad-invariance", worst, 1e-12)]
 
 
@@ -276,7 +282,7 @@ def loop_cocycle_residual(args, rng):
     worst = 0.0
     for _ in range(args.trials):
         triple = [random_loop(4, args.max_freq, rng) for _ in range(3)]
-        worst = max(worst, abs(cocycle_residual(*triple)))
+        worst = np.maximum(worst, abs(cocycle_residual(*triple)))
     return [Check("cocycle residual", worst, 1e-10)]
 
 
@@ -331,9 +337,9 @@ def maurer_cartan(args, rng):
         kx, ky = h @ cx @ h.T, h @ cy @ h.T
         comm_r = kx @ ky - ky @ kx
         dth = d_left.fn(point, (xf, yf))
-        worst_left = max(worst_left, float(np.max(np.abs(dth + comm))))
+        worst_left = np.maximum(worst_left, float(np.max(np.abs(dth + comm))))
         dk = d_right.fn(point, (xf, yf))
-        worst_right = max(worst_right, float(np.max(np.abs(dk - comm_r))))
+        worst_right = np.maximum(worst_right, float(np.max(np.abs(dk - comm_r))))
     return [
         Check("Maurer-Cartan (left)", worst_left, 1e-7),
         Check("Maurer-Cartan (right)", worst_right, 1e-7),
@@ -348,7 +354,7 @@ def d_squared(args, rng):
     for _ in range(args.samples):
         point = nerve_point([sample_near_identity(n, 0.2, rng)], n=n)
         frames = tuple(random_frame(1, n, rng) for _ in range(3))
-        worst = max(worst, abs(ddo.fn(point, frames)[0, 1]))
+        worst = np.maximum(worst, abs(ddo.fn(point, frames)[0, 1]))
     return [Check("d o d", worst, 1e-5)]
 
 
@@ -365,12 +371,13 @@ def simplicial_identities(args, rng):
             for i in range(j):
                 p1 = face_point(i, q - 1, face_point(j, q, point))
                 p2 = face_point(j - 1, q - 1, face_point(i, q, point))
-                worst_pt = max(worst_pt, _max_abs_difference(p1.components, p2.components))
+                worst_pt = np.maximum(worst_pt, _max_abs_difference(p1.components, p2.components))
                 v1 = face_pushforward(i, q - 1, face_point(j, q, point),
                                       face_pushforward(j, q, point, frame))
                 v2 = face_pushforward(j - 1, q - 1, face_point(i, q, point),
                                       face_pushforward(i, q, point, frame))
-                worst_push = max(worst_push, _max_abs_difference(v1.components, v2.components))
+                worst_push = np.maximum(worst_push,
+                                        _max_abs_difference(v1.components, v2.components))
     return [
         Check("simplicial identities (points)", worst_pt, 1e-12),
         Check("simplicial identities (pushforwards)", worst_push, 1e-12),
@@ -391,7 +398,7 @@ def face_pushforward_fd(args, rng):
         fd = trivialized_difference(
             base.components[0], fp.components[0], fm.components[0], step
         )
-        worst = max(worst, float(np.max(np.abs(fd - exact.components[0]))))
+        worst = np.maximum(worst, float(np.max(np.abs(fd - exact.components[0]))))
     return [Check("face pushforward vs finite differences", worst, 1e-8)]
 
 
@@ -404,12 +411,12 @@ def d_prime_squared(args, rng):
     ddp = d_prime(d_prime(f0))
     for _ in range(args.samples):
         point = _haar_point(3, n, rng)
-        worst = max(worst, abs(ddp.fn(point, ())))
+        worst = np.maximum(worst, abs(ddp.fn(point, ())))
     ddp1 = d_prime(d_prime(_matrix_form(rmc(1))))
     for _ in range(args.samples):
         point = _haar_point(3, n, rng)
         frame = (random_frame(3, n, rng),)
-        worst = max(worst, abs(ddp1.fn(point, frame)[0, 1]))
+        worst = np.maximum(worst, abs(ddp1.fn(point, frame)[0, 1]))
     return [Check("d' o d'", worst, 1e-9)]
 
 
@@ -423,7 +430,7 @@ def anticommutation(args, rng):
     for _ in range(args.samples):
         point = _haar_point(2, n, rng)
         frames = tuple(random_frame(2, n, rng) for _ in range(2))
-        worst = max(worst, abs(anti.fn(point, frames)[0, 1] + comm.fn(point, frames)[0, 1]))
+        worst = np.maximum(worst, abs(anti.fn(point, frames)[0, 1] + comm.fn(point, frames)[0, 1]))
     return [Check("d' d'' + d'' d'", worst, 1e-5)]
 
 
@@ -448,11 +455,12 @@ def bundle_projection_pullback(args, rng):
                 fd = trivialized_difference(
                     point.components[m], moved_p.components[m], moved_m.components[m], step
                 )
-                worst_push = max(worst_push, float(np.max(np.abs(fd - frame.components[m]))))
+                worst_push = np.maximum(worst_push,
+                                        float(np.max(np.abs(fd - frame.components[m]))))
             for s in range(1, q + 1):
                 lhs = generator_value(phi(s), point, frame)
                 rhs = adjoint(gs[0], xis[s - 1] - xis[s])
-                worst_pull = max(worst_pull, float(np.max(np.abs(lhs - rhs))))
+                worst_pull = np.maximum(worst_pull, float(np.max(np.abs(lhs - rhs))))
     return [
         Check("bundle projection pullback of phi_s", worst_pull, 1e-12),
         Check("bundle projection pushforward vs finite differences", worst_push, 1e-8),

@@ -78,6 +78,8 @@ def _positive(kind):
             raise argparse.ArgumentTypeError(f"expected a finite positive value, got {text}")
         return value
 
+    # argparse names the type function in "invalid <name> value: ..."
+    parse.__name__ = kind.__name__
     return parse
 
 
@@ -88,6 +90,7 @@ def _int_at_least(low):
             raise argparse.ArgumentTypeError(f"expected an integer >= {low}, got {text}")
         return value
 
+    parse.__name__ = "int"
     return parse
 
 

@@ -14,8 +14,9 @@ For n = 4, ``exp_alg`` and ``log_grp`` use the closed forms of
 so(4) = su(2) + su(2) (Iserles, Munthe-Kaas, Norsett & Zanna, Acta Numerica 9,
 2000): R^4 is the quaternions, every rotation is q -> a q b for unit
 quaternions a and b, and exp and log reduce to one Rodrigues factor and one
-``atan2`` angle per side.  Other n use scipy's ``expm`` and an
-eigendecomposition.
+``atan2`` angle per side.  Other n go through eigendecompositions: exp
+through the Hermitian matrix -i xi (Gallier & Xu, Int. J. Robotics and
+Automation 17, 2002), log through eig.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.linalg import expm
 
 LOG_ANGLE_MARGIN = 1e-6
 
@@ -61,13 +61,27 @@ def exp_alg(xi: np.ndarray) -> np.ndarray:
     """Matrix exponential so(n) -> SO(n).
 
     n = 4: the product of the two commuting Rodrigues factors of the left and
-    right parts (see ``_exp_so4``).  Other n: scipy's scaling-and-squaring
-    Pade ``expm``.
+    right parts (see ``_exp_so4``).  Other n: spectral, see ``_exp_skew``.
     """
     xi = np.asarray(xi, dtype=float)
     if xi.shape[-1] == 4:
         return _exp_so4(xi.reshape(-1, 4, 4)).reshape(xi.shape)
-    return expm(xi)
+    return _exp_skew(xi)
+
+
+def _exp_skew(xi: np.ndarray) -> np.ndarray:
+    """exp of skew matrices (..., n, n) through the eigendecomposition of the
+    Hermitian H = -i xi = U diag(lam) U^H.
+
+    exp xi = U diag(e^{i lam}) U^H is formed as I + Re(U diag(e^{i lam} - 1)
+    U^H) with e^{i lam} - 1 = -2 sin^2(lam/2) + i sin(lam), so a small xi
+    keeps its full relative accuracy in exp xi - I.
+    """
+    lam, u = np.linalg.eigh(-1j * xi)
+    half = np.sin(0.5 * lam)
+    shift = -2.0 * half * half + 1j * np.sin(lam)
+    corr = (u * shift[..., None, :]) @ u.conj().swapaxes(-1, -2)
+    return np.eye(xi.shape[-1]) + corr.real
 
 
 def log_grp(g: np.ndarray) -> np.ndarray:
@@ -212,9 +226,14 @@ def bracket(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 
 def random_skew(n: int, rng: np.random.Generator, norm: float = 1.0) -> np.ndarray:
-    """Random skew matrix rescaled to spectral norm ``norm``."""
+    """Random skew matrix rescaled to spectral norm ``norm``.
+
+    The spectral norm is the largest singular value, read from ``svd``
+    directly: the same bits as ``np.linalg.norm(s, 2)`` without its axis
+    handling.
+    """
     s = skew_project(rng.standard_normal((n, n)))
-    cur = np.linalg.norm(s, 2)
+    cur = np.linalg.svd(s, compute_uv=False)[0]
     if cur > 0:
         s = s * (norm / cur)
     return s

@@ -1,6 +1,6 @@
 """Microbenchmarks of ``exp_alg`` and ``log_grp`` on seeded stacks of 512
-matrices, n = 4 (the quaternion closed forms) and n = 6 (scipy ``expm`` and
-the eig log):
+matrices, n = 4 (the quaternion closed forms) and n = 6 (the spectral
+exponential through ``eigh`` and the eig log):
 
     PYTHONPATH=<tree>/src python -m pytest tests/bench_matgroup.py
 

@@ -4,6 +4,7 @@ The check names are written out here, not read from the registry, so a
 renamed, dropped or reordered check fails a test.
 """
 
+import dataclasses
 import importlib
 import inspect
 import pkgutil
@@ -187,3 +188,33 @@ def test_generator_mutation_fails_by_seven_decades(case, monkeypatch):
     monkeypatch.setattr(module, name, replacement)
     result = run_entry(entry, argv, np.random.default_rng(0))[check]
     assert result.max_residual > 1e7 * result.tolerance
+
+
+def nan_on_call(key, call):
+    """euler_component whose component ``key`` returns NaN on its ``call``-th
+    evaluation."""
+    build = euler.euler_component
+
+    def component(p, q):
+        form = build(p, q)
+        if (p, q) != key:
+            return form
+        calls = [0]
+
+        def fn(point, frames):
+            calls[0] += 1
+            return np.nan if calls[0] == call else form.fn(point, frames)
+
+        return dataclasses.replace(form, fn=fn)
+
+    return component
+
+
+@pytest.mark.parametrize("call", [1, 2, 3])
+def test_nan_on_any_sample_fails(call, monkeypatch):
+    # the builtin max keeps its running value when the next one is NaN
+    monkeypatch.setattr(checks, "euler_component", nan_on_call((1, 0), call))
+    argv = ["verify-generator", "--p", "1", "--samples", "3"]
+    result = run_entry(checks.generator_vs_transcription, argv, np.random.default_rng(0))
+    check = result["generator vs transcription (p=1, q=0)"]
+    assert np.isnan(check.max_residual) and not check.passed

@@ -1,9 +1,14 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from residual_hex import CONFIGS
 from test_checks import NAMES, argv_id
 
+import eulernerve
 from eulernerve.checks import SUITES
 from eulernerve.cli import SCHEMA_VERSION, main
 
@@ -111,3 +116,43 @@ def test_verify_euler_exports_terms(tmp_path):
             for factor in term["factors"]:
                 gens = [factor[key] for key in ("generator", "second") if key in factor]
                 assert all(len(g) == 1 and g[0]["coeff"] == 1.0 for g in gens)
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["verify-euler", "--samples", "inf"], "invalid int value: 'inf'"),
+    (["euler-number", "--steps", "1.5"], "invalid int value: '1.5'"),
+    (["transgress", "--radius", "abc"], "invalid float value: 'abc'"),
+], ids=["positive-int", "int-at-least", "positive-float"])
+def test_bad_value_names_its_type(argv, message, capsys):
+    assert main(argv) == 2
+    assert message in capsys.readouterr().err
+
+
+# one run of each suite that reaches exp_alg at n != 4, the quadrature rules,
+# the loop algebra and the clutching loop
+NO_SCIPY_RUNS = [
+    ["verify-euler", "--n", "6", "--samples", "1"],
+    ["transgress", "--samples", "1", "--quad-order", "2"],
+    ["loop-cocycle", "--trials", "1"],
+    ["euler-number"],
+]
+NO_SCIPY_SCRIPT = f"""
+import json, sys
+from eulernerve import cli
+codes = [cli.main(argv) for argv in {NO_SCIPY_RUNS!r}]
+scipy = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+print(json.dumps({{"codes": codes, "scipy": scipy}}))
+"""
+
+
+def test_suites_run_without_scipy():
+    # a fresh interpreter, so no other test's scipy import is visible; a
+    # RuntimeWarning (a 0/0 in a quadrature rule or an exp) is an error there
+    src = str(Path(eulernerve.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    command = [sys.executable, "-W", "error::RuntimeWarning", "-c", NO_SCIPY_SCRIPT]
+    proc = subprocess.run(command, env=env, capture_output=True, text=True, timeout=120,
+                          check=True)
+    result = json.loads(proc.stdout.splitlines()[-1])
+    assert result == {"codes": [0] * len(NO_SCIPY_RUNS), "scipy": []}

@@ -249,6 +249,36 @@ def test_move_point_equals_per_component_flow(n):
 
 
 # ---------------------------------------------------------------------------
+# n != 4: the spectral exponential against scipy's expm
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("n", [2, 6, 8])
+@pytest.mark.parametrize("norm", [1e-4, 1.0, 3.0])
+def test_spectral_exp_matches_scipy_expm(n, norm):
+    rng = np.random.default_rng(600 + n)
+    xs = np.stack([random_skew(n, rng, norm=norm) for _ in range(37)])
+    g = exp_alg(xs)
+    ref = np.stack([expm(x) for x in xs])
+    # exp xi - I keeps its relative accuracy at move_point's small steps
+    assert np.max(np.abs((g - np.eye(n)) - (ref - np.eye(n)))) < 1e-14 * norm
+    assert np.max(np.abs(g.swapaxes(-1, -2) @ g - np.eye(n))) < 1e-14
+    assert np.array_equal(g, np.stack([exp_alg(x) for x in xs]))
+
+
+def test_random_skew_norm_is_the_spectral_norm():
+    # the largest singular value: the same bits as np.linalg.norm(s, 2)
+    rng = np.random.default_rng(77)
+    for n in (2, 4, 6, 8):
+        for norm in (1e-4, 1.0, 3.0):
+            state = rng.bit_generator.state
+            s = random_skew(n, rng, norm=norm)
+            rng.bit_generator.state = state
+            raw = skew_project(rng.standard_normal((n, n)))
+            assert np.array_equal(s, raw * (norm / np.linalg.norm(raw, 2)))
+
+
+# ---------------------------------------------------------------------------
 # n = 6: the eig log
 
 

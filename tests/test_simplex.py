@@ -5,8 +5,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
+from scipy.special import roots_jacobi
 
-from eulernerve.simplex import monomial_integral, quadrature_rule
+from eulernerve.simplex import _gauss_jacobi_01, monomial_integral, quadrature_rule
 
 
 def test_known_values():
@@ -88,3 +89,18 @@ def test_big_exponents_exact():
         math.factorial(2 + 95),
     )
     assert val.denominator > 10**40
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("alpha", [0, 1, 2, 3])
+def test_gauss_jacobi_matches_scipy_roots_jacobi(alpha):
+    # the numpy Golub-Welsch rule against scipy's, and against the exact
+    # moments int_0^1 u^k (1-u)^alpha du = k! alpha! / (k + alpha + 1)!
+    for order in range(1, 17):
+        u, w = _gauss_jacobi_01(order, alpha)
+        x, ws = roots_jacobi(order, alpha, 0.0)
+        assert np.max(np.abs(u - 0.5 * (x + 1.0))) < 1e-14
+        assert np.max(np.abs(w - ws / 2.0 ** (alpha + 1))) < 1e-14
+        for k in range(2 * order):
+            exact = math.factorial(k) * math.factorial(alpha) / math.factorial(k + alpha + 1)
+            assert abs(float(np.sum(w * u**k)) - exact) < 1e-15

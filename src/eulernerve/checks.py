@@ -17,10 +17,8 @@ tolerance.  No function outside this module and ``cli`` takes a tolerance or
 takes a maximum over random draws, so an entry has each separate
 contribution of a residual in hand where it builds the ``Check``.
 
-Every maximum over samples is ``np.maximum`` or ``np.max``, which return NaN
-when any value is NaN, so a NaN residual fails its gate.  The builtin ``max``
-keeps its running value when the next one is NaN, and would drop a NaN on
-any sample but the first.
+An entry hands a ``Check`` the list of its per-sample residuals, and the
+``Check`` keeps their maximum, NaN if any sample is NaN, so a NaN fails.
 """
 
 from __future__ import annotations
@@ -77,13 +75,14 @@ D2_STEP = 1e-3
 @dataclass
 class Check:
     name: str
+    # the per-sample residuals (or one residual), reduced to their maximum
     max_residual: float
     tolerance: float
     # report-level fields that come with this check, e.g. the sign assignment
     extra: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        self.max_residual = float(self.max_residual)
+        self.max_residual = float(np.max(self.max_residual))
         self.tolerance = float(self.tolerance)
 
     @property
@@ -116,12 +115,10 @@ def _matrix_form(gen):
 # verify-euler
 
 
-def _residual_maxima(values, signs):
-    """Per image bidegree, the largest |signed sum of the contributions| over
-    the samples."""
+def _residuals(values, signs):
+    """Per image bidegree, |signed sum of the contributions| of each sample."""
     return {
-        bd: float(np.max([abs(sum(signs[src] * value for src, value in row.items()))
-                          for row in rows]))
+        bd: [abs(sum(signs[src] * value for src, value in row.items())) for row in rows]
         for bd, rows in values.items()
     }
 
@@ -134,13 +131,13 @@ def total_cocycle(args, rng):
     values = verify_total_cocycle(cochain, samples=args.samples, rng=rng)
     keys = sorted(cochain.components)
     checks = [
-        Check(f"total-cocycle residual at ({r},{s})", worst, args.tol)
-        for (r, s), worst in _residual_maxima(values, dict.fromkeys(keys, 1)).items()
+        Check(f"total-cocycle residual at ({r},{s})", residuals, args.tol)
+        for (r, s), residuals in _residuals(values, dict.fromkeys(keys, 1)).items()
     ]
     consistent = []
     for flips in product((1, -1), repeat=len(keys) - 1):
         signs = dict(zip(keys, (1, *flips)))
-        if np.max(list(_residual_maxima(values, signs).values())) < args.tol:
+        if all(np.max(r) < args.tol for r in _residuals(values, signs).values()):
             consistent.append({f"{r},{s}": sign for (r, s), sign in signs.items()})
     checks.append(Check(
         "unique sign assignment", abs(len(consistent) - 1), 0.5,
@@ -171,16 +168,16 @@ def generator_vs_transcription(args, rng):
             key = (p - q, p + q)
             gen = euler_component(p, q)
             built = builtin_cocycle(n).components[key]
-            diff = size = 0.0
+            diffs, sizes = [], []
             for _ in range(args.samples):
                 point = _haar_point(key[0], n, rng)
                 frames = tuple(random_frame(key[0], n, rng) for _ in range(key[1]))
                 a = gen.fn(point, frames)
                 b = built.fn(point, frames)
-                diff = np.maximum(diff, abs(a - b))
-                size = np.maximum(size, abs(b))
+                diffs.append(abs(a - b))
+                sizes.append(abs(b))
             checks.append(Check(f"generator vs transcription (p={p}, q={q})",
-                                diff / max(size, 1e-300), args.tol))
+                                np.max(diffs) / max(np.max(sizes), 1e-300), args.tol))
     return checks
 
 
@@ -191,20 +188,19 @@ def generator_vs_transcription(args, rng):
 def pfaffian(args, rng):
     n = args.n
     p = n // 2
-    worst_det = 0.0
-    worst_inv = 0.0
+    squared, conjugated = [], []
     for _ in range(args.trials):
         a = random_skew(n, rng)
         pf_a = euler_pfaffian(a)
         pf = (2 * np.pi) ** p * pf_a
         det = np.linalg.det(a)
-        worst_det = np.maximum(worst_det, abs(pf**2 - det) / max(abs(det), 1e-300))
+        squared.append(abs(pf**2 - det) / max(abs(det), 1e-300))
         g = sample_haar(n, rng)
         pf2 = euler_pfaffian(adjoint(g, a))
-        worst_inv = np.maximum(worst_inv, abs(pf2 - pf_a) / max(abs(pf_a), 1e-300))
+        conjugated.append(abs(pf2 - pf_a) / max(abs(pf_a), 1e-300))
     return [
-        Check("pfaffian^2 = det (relative)", worst_det, args.tol),
-        Check("conjugation invariance (relative)", worst_inv, 1e-10),
+        Check("pfaffian^2 = det (relative)", squared, args.tol),
+        Check("conjugation invariance (relative)", conjugated, 1e-10),
     ]
 
 
@@ -241,12 +237,12 @@ def truncated_cocycle(args, rng):
     d_eta0 = d_prime(eta.eta0)
     d_eta1 = d_prime(eta.eta1)
     d2_eta0 = d_second(eta.eta0, step=D2_STEP)
-    r0 = r1 = 0.0
+    r0, r1 = [], []
     for _ in range(args.samples):
-        r0 = np.maximum(r0, abs(d_eta0.fn(_near_identity_point(4, args.radius, rng), ())))
+        r0.append(abs(d_eta0.fn(_near_identity_point(4, args.radius, rng), ())))
         point = _near_identity_point(3, args.radius, rng)
         frame = (random_frame(3, 4, rng),)
-        r1 = np.maximum(r1, abs(d_eta1.fn(point, frame) + d2_eta0.fn(point, frame)))
+        r1.append(abs(d_eta1.fn(point, frame) + d2_eta0.fn(point, frame)))
     return [
         Check("degree-0 residual (d' eta0)", r0, args.tol),
         Check("degree-1 residual (d' eta1 + d'' eta0)", r1, args.tol),
@@ -271,19 +267,19 @@ def order_doubling_drift(args, rng):
 
 
 def pairing_ad_invariance(args, rng):
-    worst = 0.0
+    residuals = []
     for _ in range(args.trials):
         z, a, b = (random_skew(4, rng) for _ in range(3))
-        worst = np.maximum(worst, abs(pf_pairing(z @ a - a @ z, b) + pf_pairing(a, z @ b - b @ z)))
-    return [Check("pairing ad-invariance", worst, 1e-12)]
+        residuals.append(abs(pf_pairing(z @ a - a @ z, b) + pf_pairing(a, z @ b - b @ z)))
+    return [Check("pairing ad-invariance", residuals, 1e-12)]
 
 
 def loop_cocycle_residual(args, rng):
-    worst = 0.0
+    residuals = []
     for _ in range(args.trials):
         triple = [random_loop(4, args.max_freq, rng) for _ in range(3)]
-        worst = np.maximum(worst, abs(cocycle_residual(*triple)))
-    return [Check("cocycle residual", worst, 1e-10)]
+        residuals.append(abs(cocycle_residual(*triple)))
+    return [Check("cocycle residual", residuals, 1e-10)]
 
 
 def worked_example(args, rng):
@@ -300,12 +296,8 @@ def loop_functionals(args, rng):
     xa = random_loop(4, 1, rng, norm=0.8)
     xb = random_loop(4, 1, rng, norm=0.8)
     mixed = mixed_partial(lambda a, b: level2_loop_functional(a, xa, b, xb))
-    phi_a = antisymmetrized_mixed_partial(
-        lambda ya, xia, yb, xib: level1_loop_functional(ya, xia, yb, xib), xa, xb
-    )
-    phi_b = antisymmetrized_mixed_partial(
-        lambda ya, xia, yb, xib: level2_loop_functional(ya, xia, yb, xib), xa, xb
-    )
+    phi_a = antisymmetrized_mixed_partial(level1_loop_functional, xa, xb)
+    phi_b = antisymmetrized_mixed_partial(level2_loop_functional, xa, xb)
     alpha_val = loop_cocycle(xa, xb)
     return [
         Check("level-2 functional mixed partial vs closed form",
@@ -324,8 +316,7 @@ def maurer_cartan(args, rng):
     n = args.n
     d_left = exterior_derivative(_matrix_form(lmc(1)))
     d_right = exterior_derivative(_matrix_form(rmc(1)))
-    worst_left = 0.0
-    worst_right = 0.0
+    left, right = [], []
     for _ in range(args.samples):
         point = _haar_point(1, n, rng)
         xf = random_frame(1, n, rng)
@@ -337,12 +328,12 @@ def maurer_cartan(args, rng):
         kx, ky = h @ cx @ h.T, h @ cy @ h.T
         comm_r = kx @ ky - ky @ kx
         dth = d_left.fn(point, (xf, yf))
-        worst_left = np.maximum(worst_left, float(np.max(np.abs(dth + comm))))
+        left.append(float(np.max(np.abs(dth + comm))))
         dk = d_right.fn(point, (xf, yf))
-        worst_right = np.maximum(worst_right, float(np.max(np.abs(dk - comm_r))))
+        right.append(float(np.max(np.abs(dk - comm_r))))
     return [
-        Check("Maurer-Cartan (left)", worst_left, 1e-7),
-        Check("Maurer-Cartan (right)", worst_right, 1e-7),
+        Check("Maurer-Cartan (left)", left, 1e-7),
+        Check("Maurer-Cartan (right)", right, 1e-7),
     ]
 
 
@@ -350,19 +341,18 @@ def d_squared(args, rng):
     # d o d on a generator entry at near-identity points
     n = args.n
     ddo = exterior_derivative(exterior_derivative(_matrix_form(rmc(1))))
-    worst = 0.0
+    residuals = []
     for _ in range(args.samples):
         point = nerve_point([sample_near_identity(n, 0.2, rng)], n=n)
         frames = tuple(random_frame(1, n, rng) for _ in range(3))
-        worst = np.maximum(worst, abs(ddo.fn(point, frames)[0, 1]))
-    return [Check("d o d", worst, 1e-5)]
+        residuals.append(abs(ddo.fn(point, frames)[0, 1]))
+    return [Check("d o d", residuals, 1e-5)]
 
 
 def simplicial_identities(args, rng):
     # eps_i o eps_j = eps_{j-1} o eps_i for i < j, on points and pushforwards
     n = args.n
-    worst_pt = 0.0
-    worst_push = 0.0
+    points, pushforwards = [], []
     q = 3
     for _ in range(args.samples):
         point = _haar_point(q, n, rng)
@@ -371,22 +361,21 @@ def simplicial_identities(args, rng):
             for i in range(j):
                 p1 = face_point(i, q - 1, face_point(j, q, point))
                 p2 = face_point(j - 1, q - 1, face_point(i, q, point))
-                worst_pt = np.maximum(worst_pt, _max_abs_difference(p1.components, p2.components))
+                points.append(_max_abs_difference(p1.components, p2.components))
                 v1 = face_pushforward(i, q - 1, face_point(j, q, point),
                                       face_pushforward(j, q, point, frame))
                 v2 = face_pushforward(j - 1, q - 1, face_point(i, q, point),
                                       face_pushforward(i, q, point, frame))
-                worst_push = np.maximum(worst_push,
-                                        _max_abs_difference(v1.components, v2.components))
+                pushforwards.append(_max_abs_difference(v1.components, v2.components))
     return [
-        Check("simplicial identities (points)", worst_pt, 1e-12),
-        Check("simplicial identities (pushforwards)", worst_push, 1e-12),
+        Check("simplicial identities (points)", points, 1e-12),
+        Check("simplicial identities (pushforwards)", pushforwards, 1e-12),
     ]
 
 
 def face_pushforward_fd(args, rng):
     n = args.n
-    worst = 0.0
+    residuals = []
     step = FD_STEP
     for _ in range(args.samples):
         point = _haar_point(2, n, rng)
@@ -398,26 +387,26 @@ def face_pushforward_fd(args, rng):
         fd = trivialized_difference(
             base.components[0], fp.components[0], fm.components[0], step
         )
-        worst = np.maximum(worst, float(np.max(np.abs(fd - exact.components[0]))))
-    return [Check("face pushforward vs finite differences", worst, 1e-8)]
+        residuals.append(float(np.max(np.abs(fd - exact.components[0]))))
+    return [Check("face pushforward vs finite differences", residuals, 1e-8)]
 
 
 def d_prime_squared(args, rng):
     # d' o d' = 0 on a 0-form (matrix-trace based) and a 1-form
     n = args.n
-    worst = 0.0
+    residuals = []
     m_fixed = random_skew(n, rng)
     f0 = FormEvaluator(1, 0, lambda p, v: float(np.trace(m_fixed @ p.components[0])))
     ddp = d_prime(d_prime(f0))
     for _ in range(args.samples):
         point = _haar_point(3, n, rng)
-        worst = np.maximum(worst, abs(ddp.fn(point, ())))
+        residuals.append(abs(ddp.fn(point, ())))
     ddp1 = d_prime(d_prime(_matrix_form(rmc(1))))
     for _ in range(args.samples):
         point = _haar_point(3, n, rng)
         frame = (random_frame(3, n, rng),)
-        worst = np.maximum(worst, abs(ddp1.fn(point, frame)[0, 1]))
-    return [Check("d' o d'", worst, 1e-9)]
+        residuals.append(abs(ddp1.fn(point, frame)[0, 1]))
+    return [Check("d' o d'", residuals, 1e-9)]
 
 
 def anticommutation(args, rng):
@@ -426,12 +415,12 @@ def anticommutation(args, rng):
     omega1 = _matrix_form(rmc(1))
     anti = d_second(d_prime(omega1))
     comm = d_prime(d_second(omega1))
-    worst = 0.0
+    residuals = []
     for _ in range(args.samples):
         point = _haar_point(2, n, rng)
         frames = tuple(random_frame(2, n, rng) for _ in range(2))
-        worst = np.maximum(worst, abs(anti.fn(point, frames)[0, 1] + comm.fn(point, frames)[0, 1]))
-    return [Check("d' d'' + d'' d'", worst, 1e-5)]
+        residuals.append(abs(anti.fn(point, frames)[0, 1] + comm.fn(point, frames)[0, 1]))
+    return [Check("d' d'' + d'' d'", residuals, 1e-5)]
 
 
 def bundle_projection_pullback(args, rng):
@@ -439,8 +428,7 @@ def bundle_projection_pullback(args, rng):
     # projection gamma(g_0, ..., g_q) = (g_0 g_1^{-1}, ..., g_{q-1} g_q^{-1}),
     # and the exact pushforward through gamma against central differences
     n = args.n
-    worst_pull = 0.0
-    worst_push = 0.0
+    pullbacks, pushforwards = [], []
     step = FD_STEP
     for _ in range(args.samples):
         for q in (1, 2, 3):
@@ -455,15 +443,14 @@ def bundle_projection_pullback(args, rng):
                 fd = trivialized_difference(
                     point.components[m], moved_p.components[m], moved_m.components[m], step
                 )
-                worst_push = np.maximum(worst_push,
-                                        float(np.max(np.abs(fd - frame.components[m]))))
+                pushforwards.append(float(np.max(np.abs(fd - frame.components[m]))))
             for s in range(1, q + 1):
                 lhs = generator_value(phi(s), point, frame)
                 rhs = adjoint(gs[0], xis[s - 1] - xis[s])
-                worst_pull = np.maximum(worst_pull, float(np.max(np.abs(lhs - rhs))))
+                pullbacks.append(float(np.max(np.abs(lhs - rhs))))
     return [
-        Check("bundle projection pullback of phi_s", worst_pull, 1e-12),
-        Check("bundle projection pushforward vs finite differences", worst_push, 1e-8),
+        Check("bundle projection pullback of phi_s", pullbacks, 1e-12),
+        Check("bundle projection pushforward vs finite differences", pushforwards, 1e-8),
     ]
 
 

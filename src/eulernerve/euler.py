@@ -56,7 +56,7 @@ from .matgroup import (
     tangent_frame,
 )
 from .nerve import Cochain
-from .simplex import monomial_integral
+from .simplex import monomial_integral, ordered_sum
 
 
 # ---------------------------------------------------------------------------
@@ -231,10 +231,7 @@ def clutching_euler_number(k: int, steps: int = 256) -> float:
     h = np.stack([np.cos(ang), -np.sin(ang), np.sin(ang), np.cos(ang)], -1).reshape(-1, 2, 2)
     # left-trivialized loop derivative: h^{-1} h' = 2 pi k J
     xi = 2.0 * np.pi * k * np.array([[0.0, -1.0], [1.0, 0.0]])
-    total = 0.0
-    for val in e11.fn(nerve_point([h]), (tangent_frame([xi]),)):
-        total += val / steps
-    return total
+    return ordered_sum(e11.fn(nerve_point([h]), (tangent_frame([xi]),)) / steps)
 
 
 # ---------------------------------------------------------------------------

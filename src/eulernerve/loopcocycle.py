@@ -36,7 +36,7 @@ from .matgroup import (
     tangent_frame,
     trivialized_difference,
 )
-from .simplex import quadrature_rule
+from .simplex import ordered_sum, quadrature_rule
 
 LEVEL2_LOOP_SCALE = 0.25
 LEVEL1_LOOP_SCALE = 1.0 / 6.0
@@ -230,23 +230,18 @@ def _theta_grid(nodes: int) -> np.ndarray:
     return np.arange(nodes) / nodes
 
 
-def loop_cocycle(xi1: LoopElement, xi2: LoopElement, nodes: int | None = None) -> float:
+def loop_cocycle(xi1: LoopElement, xi2: LoopElement) -> float:
     """alpha(xi1, xi2); trapezoid quadrature exact for trig polynomials.
 
-    Both pairings are evaluated on the whole theta grid at once; the sum runs
-    node by node in theta order (a vector sum would round differently).
+    Both pairings are evaluated on the whole theta grid at once, and
+    ``ordered_sum`` adds p - q node by node in theta order.
     """
-    if nodes is None:
-        nodes = _trapezoid_nodes(xi1, xi2)
+    nodes = _trapezoid_nodes(xi1, xi2)
     theta = _theta_grid(nodes)
-    p = pf_pairing(xi1.derivative().values(theta), xi2.values(theta)).tolist()
-    q = pf_pairing(xi2.derivative().values(theta), xi1.values(theta)).tolist()
-    total = 0.0
-    for p_i, q_i in zip(p, q):
-        total += p_i
-        total -= q_i
-    integral = total / nodes
-    return float(-integral / (128.0 * np.pi**2))
+    p = pf_pairing(xi1.derivative().values(theta), xi2.values(theta))
+    q = pf_pairing(xi2.derivative().values(theta), xi1.values(theta))
+    integral = ordered_sum(np.stack([p, -q], -1)) / nodes
+    return -integral / (128.0 * np.pi**2)
 
 
 def cocycle_residual(x1: LoopElement, x2: LoopElement, x3: LoopElement) -> float:
@@ -266,16 +261,6 @@ def _theta_stack(xi: LoopElement, theta_nodes: int) -> np.ndarray:
     """xi at theta = i / theta_nodes and at theta +- TANGENT_STEP: (3, theta_nodes, n, n)."""
     theta = _theta_grid(theta_nodes)
     return np.stack([xi.values(theta + d) for d in (0.0, TANGENT_STEP, -TANGENT_STEP)])
-
-
-def _theta_sum(values: np.ndarray, weights: np.ndarray, theta_nodes: int) -> float:
-    """Sum of w * value / theta_nodes over a (theta, node) grid of values, one
-    term at a time, theta-major: a dot product would round differently."""
-    total = 0.0
-    for row in values:
-        for w, val in zip(weights, row):
-            total += w * val / theta_nodes
-    return total
 
 
 def level2_loop_functional(
@@ -304,7 +289,7 @@ def level2_loop_functional(
     v_theta = tangent_frame([trivialized_difference(*h, TANGENT_STEP) for h in (h1, h2)])
     v_t = tangent_frame([np.zeros((4, 4)), z[0, :, None]])
     values = e22.fn(point, (v_theta, v_t))
-    return float(LEVEL2_LOOP_SCALE * _theta_sum(values, rule.weights, theta_nodes))
+    return LEVEL2_LOOP_SCALE * ordered_sum(rule.weights * values / theta_nodes)
 
 
 def level1_loop_functional(
@@ -342,7 +327,7 @@ def level1_loop_functional(
     d_theta = trivialized_difference(base, path[1], path[2], TANGENT_STEP)
     frames = tuple(tangent_frame([d]) for d in (d1, d2, d_theta))
     values = e13.fn(nerve_point([base]), frames)
-    return float(LEVEL1_LOOP_SCALE * _theta_sum(values, rule.weights, theta_nodes))
+    return LEVEL1_LOOP_SCALE * ordered_sum(rule.weights * values / theta_nodes)
 
 
 # ---------------------------------------------------------------------------
@@ -355,11 +340,10 @@ def mixed_partial(f: Callable[[float, float], float]) -> float:
     step = STENCIL_STEP
     offsets = (-2.0 * step, -step, step, 2.0 * step)
     weights = (1.0, -8.0, 8.0, -1.0)
-    total = 0.0
-    for oa, wa in zip(offsets, weights):
-        for ob, wb in zip(offsets, weights):
-            total += wa * wb * f(oa, ob)
-    return float(total / (12.0 * step) ** 2)
+    total = ordered_sum([wa * wb * f(oa, ob)
+                         for oa, wa in zip(offsets, weights)
+                         for ob, wb in zip(offsets, weights)])
+    return total / (12.0 * step) ** 2
 
 
 def antisymmetrized_mixed_partial(
@@ -382,7 +366,5 @@ def closed_form_mixed_partial(xi1: LoopElement, xi2: LoopElement) -> float:
     loop functional."""
     nodes = _trapezoid_nodes(xi1, xi2)
     theta = _theta_grid(nodes)
-    total = 0.0
-    for p_i in pf_pairing(xi1.derivative().values(theta), xi2.values(theta)).tolist():
-        total += p_i
-    return float(-(total / nodes) / (128.0 * np.pi**2))
+    total = ordered_sum(pf_pairing(xi1.derivative().values(theta), xi2.values(theta)))
+    return -(total / nodes) / (128.0 * np.pi**2)

@@ -346,5 +346,5 @@ def frame_bracket(v: TangentFrame, w: TangentFrame) -> TangentFrame:
     )
 
 
-def random_frame(level: int, n: int, rng: np.random.Generator, norm: float = 1.0) -> TangentFrame:
-    return TangentFrame(n=n, components=tuple(random_skew(n, rng, norm=norm) for _ in range(level)))
+def random_frame(level: int, n: int, rng: np.random.Generator) -> TangentFrame:
+    return TangentFrame(n=n, components=tuple(random_skew(n, rng) for _ in range(level)))

@@ -6,6 +6,10 @@ one-dimensional Gauss-Jacobi rules come from the eigenvalues of the Jacobi
 matrix (Golub & Welsch, Math. Comp. 23, 1969), in numpy alone.
 Barycentric coordinates are (t_0, ..., t_q) with t_0 = 1 - sum(t_i, i >= 1);
 the measure is dt_1 ... dt_q on {t_i >= 0, sum <= 1}.
+
+Every quadrature of the package (the fiber integrals of the transgression,
+the loop functionals and the loop cocycle, the clutching integral) adds its
+weighted node values with ``ordered_sum``.
 """
 
 from __future__ import annotations
@@ -35,16 +39,25 @@ def monomial_integral(exponents: Sequence[int]) -> Fraction:
     return Fraction(num, den)
 
 
+def ordered_sum(terms) -> float:
+    """The sum of ``terms`` added one at a time, left to right in C order.
+
+    A dot product or a pairwise ``np.sum`` groups the terms differently and
+    rounds differently, so every quadrature sums its terms here, and its
+    value does not depend on how numpy blocks a reduction.
+    """
+    return float(np.add.accumulate(np.ravel(terms))[-1])
+
+
 @dataclass(frozen=True)
 class QuadratureRule:
     """Nodes (barycentric, shape (m, q+1)) and weights for the q-simplex."""
 
-    dimension: int
     nodes: np.ndarray
     weights: np.ndarray
 
     def integrate(self, f) -> float:
-        return float(sum(w * f(t) for t, w in zip(self.nodes, self.weights)))
+        return ordered_sum([w * f(t) for t, w in zip(self.nodes, self.weights)])
 
 
 def _jacobi(order: int, alpha: int, x: np.ndarray):
@@ -103,23 +116,14 @@ def quadrature_rule(q: int, order: int) -> QuadratureRule:
     if order < 1:
         raise ValueError("order must be >= 1")
     axes = [_gauss_jacobi_01(order, q - i) for i in range(1, q + 1)]
-    nodes = []
-    weights = []
-
-    def build(i: int, prefix_t: list[float], w: float, remaining: float):
-        if i == q:
-            t = np.empty(q + 1)
-            t[1:] = prefix_t
-            t[0] = max(remaining, 0.0)
-            nodes.append(t)
-            weights.append(w)
-            return
-        us, ws = axes[i]
-        for u, wu in zip(us, ws):
-            ti = u * remaining if i > 0 else u
-            build(i + 1, prefix_t + [ti], w * wu, remaining * (1.0 - u))
-
-    build(0, [], 1.0, 1.0)
-    nodes_arr = np.array(nodes)
-    weights_arr = np.array(weights)
-    return QuadratureRule(dimension=q, nodes=nodes_arr, weights=weights_arr)
+    # one row per node, axis 0 outermost
+    index = np.indices((order,) * q).reshape(q, -1)
+    u = np.stack([us[k] for (us, _), k in zip(axes, index)], -1)
+    w = np.stack([ws[k] for (_, ws), k in zip(axes, index)], -1)
+    # the mass left after each coordinate, multiplied left to right
+    remaining = np.cumprod(1.0 - u, axis=1)
+    nodes = np.empty((len(u), q + 1))
+    nodes[:, 0] = np.maximum(remaining[:, -1], 0.0)
+    nodes[:, 1] = u[:, 0]
+    nodes[:, 2:] = u[:, 1:] * remaining[:, :-1]
+    return QuadratureRule(nodes=nodes, weights=np.cumprod(w, axis=1)[:, -1])

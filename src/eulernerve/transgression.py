@@ -38,7 +38,7 @@ from .matgroup import (
     tangent_frame,
     trivialized_difference,
 )
-from .simplex import quadrature_rule
+from .simplex import ordered_sum, quadrature_rule
 
 _APEX_EPS = 1e-13
 # central-difference step of the tangents of the level maps
@@ -106,9 +106,9 @@ def transgression_form(
     left-trivialized.  One evaluation contracts all quadrature nodes of the
     rule in one batched call per perturbation direction (the base point,
     +-FD_STEP along each simplex direction, +-FD_STEP along each frame), and
-    evaluates mu, a word sum, once on all nodes; the weighted values are added
-    in the rule's order, since a dot product would round differently.  The
-    result equals the per-node evaluation of the level map bit for bit.
+    evaluates mu, a word sum, once on all nodes; ``ordered_sum`` adds the
+    weighted values.  The result equals the per-node evaluation of the level
+    map bit for bit.
     """
     if mu.level != m:
         raise ValueError(f"mu has level {mu.level}, expected {m}")
@@ -157,10 +157,7 @@ def transgression_form(
             ))
         tangents = tuple(tangent_frame([*pushed, contracted]) for pushed, contracted in directions)
         values = mu.fn(nerve_point([*kept, base]), tangents)
-        total = 0.0
-        for weight, value in zip(rule.weights, values):
-            total += weight * value
-        return sign * total
+        return sign * ordered_sum(rule.weights * values)
 
     return FormEvaluator(level, degree, fn)
 

@@ -17,6 +17,12 @@ only; the third benchmark certificate, ``verify-generator --p 3 --samples
 10``, is in ``CONFIGS``.  ``SEEDED_RUNS`` are (argv, seed) pairs printed at
 their own seed: the two ``verify-generator`` draws where one sample's
 transcribed value cancels to about 1e-6 of the component's size.
+
+The ``loop-so4`` benchmark certificate calls the loop functionals at its own
+theta / t quadrature (16 x 4 and 8 x 4; the CLI runs only 64 x 8), so its
+three residuals are printed too, at seeds 0-2, as ``loop-so4 | seed | check
+name | float.hex(residual)``.  They come from ``certify_loop_so4`` in
+``certbench/workloads.py``.
 """
 
 from __future__ import annotations
@@ -27,6 +33,9 @@ import json
 import os
 import sys
 import tempfile
+from pathlib import Path
+
+CERTBENCH = Path(__file__).resolve().parents[1] / "certbench"
 
 CONFIGS = [
     ["verify-euler", "--n", "2"],
@@ -87,6 +96,18 @@ def residual_lines(argv: list[str], seed: int, report_dir: str) -> list[str]:
     return lines
 
 
+def loop_so4_lines(seed: int, report_dir: str) -> list[str]:
+    sys.path.insert(0, str(CERTBENCH))
+    try:
+        import workloads
+    finally:
+        sys.path.remove(str(CERTBENCH))
+    return [
+        f"loop-so4 | {seed} | {c.name} | {float(c.residual).hex()}"
+        for c in workloads.certify_loop_so4(seed, report_dir)
+    ]
+
+
 def main() -> int:
     runs = [(argv, seed) for argv in CONFIGS for seed in SEEDS]
     runs += [(argv, 0) for argv in SEED0_CONFIGS]
@@ -94,6 +115,9 @@ def main() -> int:
     with tempfile.TemporaryDirectory() as report_dir:
         for argv, seed in runs:
             for line in residual_lines(argv, seed, report_dir):
+                print(line, flush=True)
+        for seed in SEEDS:
+            for line in loop_so4_lines(seed, report_dir):
                 print(line, flush=True)
     return 0
 

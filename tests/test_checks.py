@@ -218,3 +218,22 @@ def test_nan_on_any_sample_fails(call, monkeypatch):
     result = run_entry(checks.generator_vs_transcription, argv, np.random.default_rng(0))
     check = result["generator vs transcription (p=1, q=0)"]
     assert np.isnan(check.max_residual) and not check.passed
+
+
+def test_check_keeps_the_sample_maximum():
+    rng = np.random.default_rng(21)
+    samples = rng.uniform(0.0, 1e-6, 9).tolist()
+    check = checks.Check("samples", samples, 1e-5)
+    assert check.max_residual == max(samples) and check.passed
+    assert type(check.max_residual) is float
+    assert checks.Check("one", 2e-5, 1e-5).max_residual == 2e-5
+    assert not checks.Check("samples", [*samples, 2e-5], 1e-5).passed
+
+
+@pytest.mark.parametrize("position", range(5))
+def test_check_with_a_nan_sample_fails(position):
+    samples = [1e-9, 2e-9, 3e-9, 4e-9]
+    samples.insert(position, float("nan"))
+    check = checks.Check("samples", samples, 1e-5)
+    assert np.isnan(check.max_residual) and not check.passed
+    assert check.to_json()["pass"] is False

@@ -118,6 +118,19 @@ def test_verify_euler_exports_terms(tmp_path):
                 assert all(len(g) == 1 and g[0]["coeff"] == 1.0 for g in gens)
 
 
+@pytest.mark.parametrize("argv, option", [
+    (["pfaffian", "--n", "2", "--trials", "1"], "--out"),
+    (["verify-euler", "--n", "2", "--samples", "1"], "--export-terms"),
+], ids=["report", "export-terms"])
+def test_unwritable_path_exits_2(argv, option, tmp_path, capsys):
+    # both checks pass; only the file cannot be written
+    path = tmp_path / "missing" / "out.json"
+    assert main([*argv, option, str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and str(path) in err
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("argv, message", [
     (["verify-euler", "--samples", "inf"], "invalid int value: 'inf'"),
     (["euler-number", "--steps", "1.5"], "invalid int value: '1.5'"),

@@ -120,7 +120,7 @@ def test_alpha_antisymmetric_and_bilinear(rng):
 def test_trapezoid_node_doubling_drift(rng):
     a, b = random_loop(4, 3, rng), random_loop(4, 2, rng)
     v1 = loop_cocycle(a, b)
-    v2 = loop_cocycle(a, b, nodes=2 * (4 * 5 + 8))
+    v2 = oracle_cocycle(a, b, nodes=2 * (4 * 5 + 8))
     assert abs(v1 - v2) < 1e-13
 
 
@@ -488,8 +488,6 @@ def test_cocycle_and_closed_form_equal_per_theta_oracle(kx, ky):
         x, y = random_loop(4, kx, rng), random_loop(4, ky, rng)
         assert loop_cocycle(x, y) == oracle_cocycle(x, y)
         assert closed_form_mixed_partial(x, y) == oracle_closed_form(x, y)
-        for nodes in (1, 7, 2 * (4 * (kx + ky) + 8)):
-            assert loop_cocycle(x, y, nodes=nodes) == oracle_cocycle(x, y, nodes=nodes)
 
 
 @pytest.mark.parametrize("k", range(4))

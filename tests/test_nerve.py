@@ -18,6 +18,7 @@ from eulernerve.forms import (
 from eulernerve.matgroup import (
     nerve_point,
     random_frame,
+    random_skew,
     sample_haar,
     skew_project,
     tangent_frame,
@@ -175,8 +176,8 @@ def test_verify_detects_perturbation(rng, monkeypatch):
     )
     # frames of norm 2.5, from the same draws as at norm 1: at norm 1 the
     # tampered residual reads only about 1.6e-4
-    monkeypatch.setattr(nerve, "random_frame",
-                        lambda level, n, rng: random_frame(level, n, rng, norm=2.5))
+    monkeypatch.setattr(nerve, "random_frame", lambda level, n, rng: tangent_frame(
+        [random_skew(n, rng, norm=2.5) for _ in range(level)], n=n))
     argv = ["verify-euler", "--n", "4", "--samples", "5", "--tol", "1e-5"]
 
     def run(cochain, rng):

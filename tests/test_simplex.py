@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, strategies as st
 from scipy.special import roots_jacobi
 
-from eulernerve.simplex import _gauss_jacobi_01, monomial_integral, quadrature_rule
+from eulernerve.simplex import _gauss_jacobi_01, monomial_integral, ordered_sum, quadrature_rule
 
 
 def test_known_values():
@@ -104,3 +104,50 @@ def test_gauss_jacobi_matches_scipy_roots_jacobi(alpha):
         for k in range(2 * order):
             exact = math.factorial(k) * math.factorial(alpha) / math.factorial(k + alpha + 1)
             assert abs(float(np.sum(w * u**k)) - exact) < 1e-15
+
+
+def recursive_rule(q, order):
+    """The tensor Duffy rule built node by node, axis 0 outermost: the oracle
+    for the index-array builder."""
+    axes = [_gauss_jacobi_01(order, q - i) for i in range(1, q + 1)]
+    nodes, weights = [], []
+
+    def build(i, prefix_t, w, remaining):
+        if i == q:
+            nodes.append([max(remaining, 0.0), *prefix_t])
+            weights.append(w)
+            return
+        for u, wu in zip(*axes[i]):
+            ti = u * remaining if i > 0 else u
+            build(i + 1, prefix_t + [ti], w * wu, remaining * (1.0 - u))
+
+    build(0, [], 1.0, 1.0)
+    return np.array(nodes), np.array(weights)
+
+
+@pytest.mark.parametrize("q", [1, 2, 3, 4])
+def test_quadrature_rule_equals_recursive_builder(q):
+    for order in range(1, 17):
+        nodes, weights = recursive_rule(q, order)
+        rule = quadrature_rule(q, order)
+        assert rule.nodes.shape == nodes.shape
+        assert np.array_equal(rule.nodes, nodes)
+        assert np.array_equal(rule.weights, weights)
+
+
+def left_to_right(terms):
+    total = 0.0
+    for x in np.ravel(terms).tolist():
+        total += x
+    return total
+
+
+@pytest.mark.parametrize("shape", [(257,), (64, 16)], ids=["1-d", "theta-node"])
+def test_ordered_sum_adds_left_to_right(shape):
+    # terms of mixed sign and spread exponents cancel, so any other grouping
+    # (pairwise, blocked, a dot product) rounds differently on these draws
+    rng = np.random.default_rng(20)
+    for _ in range(20):
+        terms = rng.standard_normal(shape) * 10.0 ** rng.integers(-8, 9, shape)
+        assert ordered_sum(terms) == left_to_right(terms)
+        assert type(ordered_sum(terms)) is float

@@ -23,7 +23,6 @@ An entry hands a ``Check`` the list of its per-sample residuals, and the
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from itertools import product
 
@@ -36,7 +35,6 @@ from .euler import (
     clutching_euler_number,
     euler_component,
     euler_pfaffian,
-    words_to_json,
 )
 from .forms import FormEvaluator, exterior_derivative, generator_value, lmc, phi, rmc
 from .loopcocycle import (
@@ -144,13 +142,6 @@ def total_cocycle(args, rng):
         extra={"sign_assignment": consistent[0] if consistent else None,
                "consistent_assignments": len(consistent)},
     ))
-    if args.export_terms:
-        terms = [
-            {"bidegree": [r, s], "terms": words_to_json(args.n, list(form.fn.words))}
-            for (r, s), form in sorted(cochain.components.items())
-        ]
-        with open(args.export_terms, "w") as fh:
-            json.dump(terms, fh)
     return checks
 
 

@@ -5,7 +5,7 @@ the JSON report live here; the checks a suite runs are the entries of
 ``checks.SUITES``, run in order on one generator seeded from ``--seed`` (or
 NERVE_EULER_SEED), so every run is deterministic given the seed.  Exit code 0
 when every check in the suite passes, 1 on a failed check, 2 on usage or
-domain errors and on a report or term list that cannot be written.
+domain errors and on a report that cannot be written.
 """
 
 from __future__ import annotations
@@ -113,8 +113,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify-euler", help="total-cocycle residuals of the built-in cochains")
     p.add_argument("--n", type=int, choices=(2, 4, 6), default=4)
-    p.add_argument("--export-terms", type=str, default=None,
-                   help="write the cochain's expanded term list to this path")
     common(p, samples=20)
 
     p = sub.add_parser("verify-generator",
@@ -165,12 +163,6 @@ def _seed_of(args) -> int:
     return seed
 
 
-def _write_error(exc: OSError) -> int:
-    """A file the run was asked to write (report, term list) cannot be written."""
-    print(f"cannot write {exc.filename}: {exc.strerror}", file=sys.stderr)
-    return 2
-
-
 def main(argv=None) -> int:
     parser = build_parser()
     if argv is None:
@@ -203,8 +195,6 @@ def main(argv=None) -> int:
     except DomainError as exc:
         print(f"domain error: {exc}", file=sys.stderr)
         return 2
-    except OSError as exc:
-        return _write_error(exc)
 
     wall = time.perf_counter() - start
     for check in report.checks:
@@ -216,7 +206,8 @@ def main(argv=None) -> int:
             with open(args.out, "w") as fh:
                 json.dump(report.to_json(wall), fh, indent=2, sort_keys=True)
         except OSError as exc:
-            return _write_error(exc)
+            print(f"cannot write {exc.filename}: {exc.strerror}", file=sys.stderr)
+            return 2
     return 0 if report.passed else 1
 
 

@@ -38,7 +38,6 @@ from .forms import (
     lin,
     lmc,
     parity,
-    perm_table,
     pfaffian_contraction,
     phi,
     rmc,
@@ -251,41 +250,3 @@ def bundle_projection_pushforward(
     comps = [adjoint(gs[m], xis[m - 1] - xis[m]) for m in range(1, len(gs))]
     return tangent_frame(comps, n=gs[0].shape[0])
 
-
-# ---------------------------------------------------------------------------
-# JSON term export
-
-
-def words_to_json(n: int, words: list[WordForm]) -> list[dict]:
-    """Expand the tau-sums of the words into explicit scalar terms."""
-    table, signs = perm_table(n)
-    out = []
-    for w in words:
-        for row, sgn in zip(table, signs):
-            factors = []
-            for i, f in enumerate(w.factors):
-                entry = [int(row[2 * i] + 1), int(row[2 * i + 1] + 1)]
-                factors.append(
-                    {
-                        "generator": _generator_json(f.a),
-                        "square": f.degree == 2,
-                        **({"second": _generator_json(f.b)}
-                           if f.b is not None and f.b != f.a else {}),
-                        "entry": entry,
-                    }
-                )
-            out.append({"coefficient": w.coefficient * float(sgn), "factors": factors})
-    return out
-
-
-def _generator_json(g) -> list[dict]:
-    """One generator as the one-term list of the export format."""
-    return [
-        {
-            "kind": g.kind,
-            "slot": g.slot,
-            **({"start": g.start} if g.kind in ("conj_rmc", "sumphi") else {}),
-            **({"stop": g.stop} if g.kind == "sumphi" else {}),
-            "coeff": 1.0,
-        }
-    ]

@@ -76,9 +76,6 @@ class LoopElement:
             out = out + a * np.cos(w) + b * np.sin(w)
         return np.array(out)
 
-    def value(self, theta: float) -> np.ndarray:
-        return self.values(np.array([theta]))[0]
-
     def derivative(self) -> "LoopElement":
         cos_c = []
         sin_c = []

@@ -318,23 +318,15 @@ def tangent_frame(components: Sequence[np.ndarray], n: int | None = None) -> Tan
     return TangentFrame(n=n, components=comps)
 
 
-def identity_point(n: int, level: int) -> NervePoint:
-    return NervePoint(n=n, components=tuple(np.eye(n) for _ in range(level)))
-
-
 def move_point(p: NervePoint, v: TangentFrame, t: float) -> NervePoint:
     """Flow p along the left-invariant extension of v for time t.
 
     The components' exponentials are one ``exp_alg`` call on their stack
-    (broadcast to a common batch shape), bit-identical to one call each; a
-    one-component frame is exponentiated as it is, with no stack.
+    (broadcast to a common batch shape), bit-identical to one call each.
     """
     if not v.components:
         return p
-    if len(v.components) == 1:
-        steps = (exp_alg(t * v.components[0]),)
-    else:
-        steps = exp_alg(t * np.stack(np.broadcast_arrays(*v.components)))
+    steps = exp_alg(t * np.stack(np.broadcast_arrays(*v.components)))
     return NervePoint(n=p.n, components=tuple(h @ e for h, e in zip(p.components, steps)))
 
 

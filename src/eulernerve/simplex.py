@@ -56,9 +56,6 @@ class QuadratureRule:
     nodes: np.ndarray
     weights: np.ndarray
 
-    def integrate(self, f) -> float:
-        return ordered_sum([w * f(t) for t, w in zip(self.nodes, self.weights)])
-
 
 def _jacobi(order: int, alpha: int, x: np.ndarray):
     """P_n, P_{n-1} and P_n' of the Jacobi polynomials P^(alpha, 0) at x,

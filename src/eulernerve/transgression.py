@@ -45,7 +45,7 @@ _APEX_EPS = 1e-13
 FD_STEP = 1e-4
 
 
-def contraction(l: int, t: Sequence[float], hs: Sequence[np.ndarray]) -> np.ndarray:
+def _contract(t: np.ndarray, hs: np.ndarray) -> np.ndarray:
     """sigma_l(t_0, ..., t_l; h_1, ..., h_l) for near-identity h's: the cone
 
         sigma_l(t; h) = rho_{1-t_0}(h_1 sigma_{l-1}((t_1..t_l)/(1-t_0); h_2..)),
@@ -53,21 +53,9 @@ def contraction(l: int, t: Sequence[float], hs: Sequence[np.ndarray]) -> np.ndar
 
     with value 1 at the apex t_0 = 1.  It satisfies the simplicial
     compatibility with the nerve faces exactly; sigma_1(t; h) = exp(t_1 log h).
-    """
-    t = np.asarray(t, dtype=float)
-    if len(t) != l + 1:
-        raise ValueError(f"expected {l + 1} barycentric coordinates, got {len(t)}")
-    if len(hs) != l:
-        raise ValueError(f"expected {l} group arguments, got {len(hs)}")
-    if l == 0:
-        raise ValueError("use identity for sigma_0; need n")
-    return _contract(t[None], np.stack(hs)[None])[0]
-
-
-def _contract(t: np.ndarray, hs: np.ndarray) -> np.ndarray:
-    """sigma_l on a batch: t of shape (B, l+1) and hs of shape (B, l, n, n)
-    give (B, n, n).  Every matrix of the batch gets the same operations as a
-    batch of one, so a row's value does not depend on the other rows."""
+    On a batch, t (B, l+1) and hs (B, l, n, n) give (B, n, n); every matrix
+    gets the same operations as in a batch of one, so a row's value does not
+    depend on the other rows."""
     batch, l, n = hs.shape[0], hs.shape[1], hs.shape[-1]
     # recursion over the depth; rows at the apex keep the identity
     out = np.broadcast_to(np.eye(n), (batch, n, n)).copy()
@@ -84,12 +72,13 @@ def _contract(t: np.ndarray, hs: np.ndarray) -> np.ndarray:
 
 
 def level_map(m: int, q: int, t: Sequence[float], hs: Sequence[np.ndarray]) -> NervePoint:
-    """f_{m,q}: the first m-1 arguments pass through, the rest contract."""
+    """f_{m,q}: the first m-1 arguments pass through, the rest contract.
+    Kept, beside the batched ``_contract``, as a span ``certbench/layers.py`` traces."""
     hs = list(hs)
     if len(hs) != m + q - 1:
         raise ValueError(f"expected {m + q - 1} group arguments, got {len(hs)}")
-    comps = hs[: m - 1] + [contraction(q, t, hs[m - 1 :])]
-    return nerve_point(comps, n=hs[0].shape[0])
+    sigma = _contract(np.asarray(t, dtype=float)[None], np.stack(hs[m - 1 :])[None])[0]
+    return nerve_point(hs[: m - 1] + [sigma])
 
 
 def transgression_form(
@@ -107,8 +96,8 @@ def transgression_form(
     rule in one batched call per perturbation direction (the base point,
     +-FD_STEP along each simplex direction, +-FD_STEP along each frame), and
     evaluates mu, a word sum, once on all nodes; ``ordered_sum`` adds the
-    weighted values.  The result equals the per-node evaluation of the level
-    map bit for bit.
+    weighted values.  The result equals the node-by-node reference of
+    ``test_batched_form_equals_per_node_reference`` bit for bit.
     """
     if mu.level != m:
         raise ValueError(f"mu has level {mu.level}, expected {m}")

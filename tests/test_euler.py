@@ -17,7 +17,6 @@ from eulernerve.euler import (
     euler_pfaffian,
     generated_cocycle,
     pfaffian_contraction,
-    words_to_json,
 )
 from eulernerve.forms import generator_value, phi
 from eulernerve.matgroup import (
@@ -246,19 +245,6 @@ def test_projection_point(rng):
     point = bundle_projection(gs)
     assert np.allclose(point.components[0], gs[0] @ gs[1].T, atol=0)
     assert np.allclose(point.components[1], gs[1] @ gs[2].T, atol=0)
-
-
-# ---------------------------------------------------------------------------
-# term export
-
-
-def test_words_to_json_counts():
-    terms = words_to_json(4, list(euler_component_words(2, 1)))
-    # 2 words x |S_4| expanded terms
-    assert len(terms) == 2 * 24
-    sample = terms[0]
-    assert set(sample) == {"coefficient", "factors"}
-    assert sample["factors"][0]["entry"][0] in range(1, 5)
 
 
 def test_generated_cocycle_is_total_cocycle(rng, monkeypatch):

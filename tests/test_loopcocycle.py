@@ -37,6 +37,11 @@ from eulernerve.simplex import quadrature_rule
 ZERO = np.zeros((4, 4))
 
 
+def value_at(xi, theta):
+    """xi at one theta, through the stacked ``values``."""
+    return xi.values(np.array([theta]))[0]
+
+
 def unit_pair():
     x = np.zeros((4, 4))
     x[0, 1], x[1, 0], x[2, 3], x[3, 2] = 1.0, -1.0, 1.0, -1.0
@@ -144,8 +149,8 @@ def test_bracket_matches_pointwise(rng):
     x, y = random_loop(4, 2, rng), random_loop(4, 3, rng)
     br = loop_bracket(x, y)
     for theta in rng.uniform(0, 1, 10):
-        a, b = x.value(theta), y.value(theta)
-        assert np.max(np.abs(br.value(theta) - (a @ b - b @ a))) < 1e-13
+        a, b = value_at(x, theta), value_at(y, theta)
+        assert np.max(np.abs(value_at(br, theta) - (a @ b - b @ a))) < 1e-13
 
 
 def test_derivative_coefficients():
@@ -154,7 +159,7 @@ def test_derivative_coefficients():
     d = xi.derivative()
     for theta in (0.1, 0.37):
         expect = -2 * np.pi * np.sin(2 * np.pi * theta) * x
-        assert np.max(np.abs(d.value(theta) - expect)) < 1e-14
+        assert np.max(np.abs(value_at(d, theta) - expect)) < 1e-14
 
 
 # ---------------------------------------------------------------------------
@@ -180,8 +185,8 @@ def per_node_level2(y1, xi1, y2, xi2, *, theta_nodes, t_order):
     total = 0.0
     for i in range(theta_nodes):
         theta = i / theta_nodes
-        z_of = lambda th: y2 * xi2.value(th)
-        h1_of = lambda th: exp_alg(y1 * xi1.value(th))
+        z_of = lambda th: y2 * value_at(xi2, th)
+        h1_of = lambda th: exp_alg(y1 * value_at(xi1, th))
         for node, w in zip(rule.nodes, rule.weights):
             t1 = node[1]
             h2_of = lambda th: exp_alg(t1 * z_of(th))
@@ -199,8 +204,8 @@ def per_node_level1(y1, xi1, y2, xi2, *, theta_nodes, t_order):
     step = TANGENT_STEP
 
     def factors(t_vec, th):
-        return (exp_alg((1.0 - t_vec[0]) * y1 * xi1.value(th)),
-                exp_alg(t_vec[2] * y2 * xi2.value(th)))
+        return (exp_alg((1.0 - t_vec[0]) * y1 * value_at(xi1, th)),
+                exp_alg(t_vec[2] * y2 * value_at(xi2, th)))
 
     def point_at(t_vec, th):
         f, s = factors(t_vec, th)
@@ -212,8 +217,8 @@ def per_node_level1(y1, xi1, y2, xi2, *, theta_nodes, t_order):
         for node, w in zip(rule.nodes, rule.weights):
             f, s = factors(node, theta)
             base = f @ s
-            d1 = skew_project(s.T @ (y1 * xi1.value(theta)) @ s)
-            d2 = d1 + y2 * xi2.value(theta)
+            d1 = skew_project(s.T @ (y1 * value_at(xi1, theta)) @ s)
+            d2 = d1 + y2 * value_at(xi2, theta)
             d_theta = trivialized_difference(
                 base, point_at(node, theta + step), point_at(node, theta - step), step
             )
@@ -243,7 +248,7 @@ def test_level1_exact_tangents_match_central_differences(monkeypatch):
         level1_loop_functional(y1, xi1, y2, xi2, theta_nodes=theta_nodes, t_order=t_order)
         d1, d2 = (frame.components[0] for frame in captured.pop()[:2])
         for i in range(theta_nodes):
-            x1, x2 = xi1.value(i / theta_nodes), xi2.value(i / theta_nodes)
+            x1, x2 = value_at(xi1, i / theta_nodes), value_at(xi2, i / theta_nodes)
 
             def path(t1, t2):
                 return exp_alg((t1 + t2) * y1 * x1) @ exp_alg(t2 * y2 * x2)
@@ -465,7 +470,7 @@ def test_values_equal_per_theta_value(k):
             assert stack.shape == (len(theta), 4, 4)
             for i, th in enumerate(theta.tolist()):
                 assert np.array_equal(stack[i], oracle_value(xi, th))
-                assert np.array_equal(xi.value(th), oracle_value(xi, th))
+                assert np.array_equal(value_at(xi, th), oracle_value(xi, th))
 
 
 @pytest.mark.parametrize("kx, ky", FREQS)

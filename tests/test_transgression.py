@@ -9,7 +9,6 @@ from eulernerve.forms import add_forms, scale_form
 from eulernerve.matgroup import (
     DomainError,
     exp_alg,
-    identity_point,
     log_grp,
     nerve_point,
     random_frame,
@@ -21,15 +20,38 @@ from eulernerve.simplex import quadrature_rule
 from eulernerve.transgression import (
     LocalCochain,
     _contract,
-    contraction,
     level_map,
     local_cochain,
     transgression_form,
 )
 
 
-def near(rng, radius=0.1):
-    return sample_near_identity(4, radius, rng)
+def near(rng, radius=0.1, n=4):
+    return sample_near_identity(n, radius, rng)
+
+
+def identity_point(n, level):
+    return nerve_point([np.eye(n)] * level, n=n)
+
+
+def sigma(t, hs):
+    """The library's sigma_l at one point: ``_contract`` on a batch of one."""
+    return _contract(np.asarray(t, dtype=float)[None], np.stack(hs)[None])[0]
+
+
+def sigma_reference(t, hs, n=4):
+    """sigma_l by its per-point recursion on n x n matrices, sharing no code
+    with ``_contract``: exp((1 - t_0) log(h_1 sigma_{l-1}(t_1.. / (1 - t_0);
+    h_2..))), the identity at the apex and for l = 0."""
+    rest = 1.0 - t[0]
+    if len(hs) == 0 or rest <= 1e-13:
+        return np.eye(n)
+    return exp_alg(rest * log_grp(hs[0] @ sigma_reference(t[1:] / rest, hs[1:], n)))
+
+
+def level_map_reference(m, q, t, hs):
+    """f_{m,q} on ``sigma_reference``."""
+    return nerve_point(list(hs[: m - 1]) + [sigma_reference(np.asarray(t), hs[m - 1 :])])
 
 
 # ---------------------------------------------------------------------------
@@ -39,27 +61,29 @@ def near(rng, radius=0.1):
 def test_sigma1_cone_equals_explicit(rng):
     h = near(rng, 0.3)
     t = rng.dirichlet(np.ones(2))
-    a = contraction(1, t, [h])
+    a = sigma(t, [h])
     assert np.max(np.abs(a - exp_alg(t[1] * log_grp(h)))) < 1e-13
 
 
 def test_cone_apex_is_identity(rng):
     h1, h2 = near(rng), near(rng)
-    val = contraction(2, [1.0, 0.0, 0.0], [h1, h2])
+    val = sigma([1.0, 0.0, 0.0], [h1, h2])
     assert np.array_equal(val, np.eye(4))
 
 
 def test_batched_cone_rows_match_single_rows(rng):
     # rows at the apex, at the apex of an inner level, and inside the simplex
-    # share one batch; each row equals its batch-of-one value
-    hs = np.stack([[near(rng) for _ in range(3)] for _ in range(5)])
-    t = rng.dirichlet(np.ones(4), size=5)
-    t[1] = [1.0, 0.0, 0.0, 0.0]
-    t[3] = [0.25, 0.75, 0.0, 0.0]
-    out = _contract(t, hs)
-    for row in range(5):
-        assert np.array_equal(out[row], contraction(3, t[row], list(hs[row])))
-    assert np.array_equal(out[1], np.eye(4))
+    # share one batch; each row equals the per-point recursion bit for bit
+    for n in (4, 6):
+        for l in (1, 2, 3):
+            hs = np.stack([[near(rng, n=n) for _ in range(l)] for _ in range(16)])
+            t = rng.dirichlet(np.ones(l + 1), size=16)
+            t[1] = np.eye(l + 1)[0]
+            t[3] = np.r_[0.25, 0.75, np.zeros(l - 1)]
+            out = _contract(t, hs)
+            for row in range(16):
+                assert np.array_equal(out[row], sigma_reference(t[row], hs[row], n))
+            assert np.array_equal(out[1], np.eye(n))
 
 
 @pytest.mark.parametrize("l", [2, 3])
@@ -72,25 +96,16 @@ def test_cone_face_compatibility_all_faces(l, rng):
         t = rng.dirichlet(np.ones(l))
         for j in range(l + 1):
             te = np.insert(t, j, 0.0)
-            lhs = contraction(l, te, hs)
+            lhs = sigma(te, hs)
             if j == 0:
-                rhs = hs[0] @ (
-                    contraction(l - 1, t, hs[1:]) if l > 1 else np.eye(4)
-                )
+                rhs = hs[0] @ (sigma(t, hs[1:]) if l > 1 else np.eye(4))
             elif j < l:
                 merged = hs[: j - 1] + [hs[j - 1] @ hs[j]] + hs[j + 1 :]
-                rhs = contraction(l - 1, t, merged)
+                rhs = sigma(t, merged)
             else:
-                rhs = contraction(l - 1, t, hs[:-1])
+                rhs = sigma(t, hs[:-1])
             worst = max(worst, float(np.max(np.abs(lhs - rhs))))
     assert worst < 1e-10
-
-
-def test_contraction_argument_counts(rng):
-    with pytest.raises(ValueError):
-        contraction(2, [1.0, 0.0], [near(rng), near(rng)])
-    with pytest.raises(ValueError):
-        contraction(2, [0.5, 0.3, 0.2], [near(rng)])
 
 
 def test_contraction_domain_error():
@@ -98,7 +113,7 @@ def test_contraction_domain_error():
     g4 = np.eye(4)
     g4[:2, :2] = g
     with pytest.raises(DomainError):
-        contraction(1, [0.5, 0.5], [g4])
+        sigma([0.5, 0.5], [g4])
 
 
 # ---------------------------------------------------------------------------
@@ -110,7 +125,7 @@ def test_level_map_passthrough(rng):
     t = rng.dirichlet(np.ones(2))
     point = level_map(2, 1, t, [h1, h2])
     assert np.array_equal(point.components[0], h1)
-    assert np.max(np.abs(point.components[1] - contraction(1, t, [h2]))) == 0.0
+    assert np.max(np.abs(point.components[1] - sigma(t, [h2]))) == 0.0
 
 
 def test_level_map_full_contraction(rng):
@@ -118,7 +133,7 @@ def test_level_map_full_contraction(rng):
     t = rng.dirichlet(np.ones(3))
     point = level_map(1, 2, t, [h1, h2])
     assert point.level == 1
-    assert np.max(np.abs(point.components[0] - contraction(2, t, [h1, h2]))) == 0.0
+    assert np.max(np.abs(point.components[0] - sigma(t, [h1, h2]))) == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -148,7 +163,8 @@ def test_beta_vanishes_on_identity_inputs(rng):
 
 
 def per_node_transgression_form(mu, m, q, quad_order, fd_step=1e-4):
-    """Reference: the level map and its central differences, node by node."""
+    """Reference: the level map and its central differences, node by node,
+    on ``level_map_reference``, so no library contraction is involved."""
     rule = quadrature_rule(q, quad_order)
     sign = -1.0 if m % 2 else 1.0
 
@@ -159,11 +175,14 @@ def per_node_transgression_form(mu, m, q, quad_order, fd_step=1e-4):
         ]
         return tangent_frame(comps, n=base.n)
 
+    def f(t, hs):
+        return level_map_reference(m, q, t, hs)
+
     def fn(p, frames):
         hs = list(p.components)
         total = 0.0
         for node, weight in zip(rule.nodes, rule.weights):
-            base = level_map(m, q, node, hs)
+            base = f(node, hs)
             tangents = []
             for a in range(1, q + 1):
                 tp = np.array(node)
@@ -173,13 +192,13 @@ def per_node_transgression_form(mu, m, q, quad_order, fd_step=1e-4):
                 tm[a] -= fd_step
                 tm[0] += fd_step
                 tangents.append(
-                    fd(base, level_map(m, q, tp, hs), level_map(m, q, tm, hs))
+                    fd(base, f(tp, hs), f(tm, hs))
                 )
             for v in frames:
                 hp = [hh @ exp_alg(fd_step * xi) for hh, xi in zip(hs, v.components)]
                 hm = [hh @ exp_alg(-fd_step * xi) for hh, xi in zip(hs, v.components)]
                 tangents.append(
-                    fd(base, level_map(m, q, node, hp), level_map(m, q, node, hm))
+                    fd(base, f(node, hp), f(node, hm))
                 )
             total += weight * mu.fn(base, tuple(tangents))
         return sign * total

@@ -17,6 +17,13 @@ quaternions a and b, and exp and log reduce to one Rodrigues factor and one
 ``atan2`` angle per side.  Other n go through eigendecompositions: exp
 through the Hermitian matrix -i xi (Gallier & Xu, Int. J. Robotics and
 Automation 17, 2002), log through eig.
+
+SO(4) also has a representation of its own here: a stack of B rotations as
+unit-quaternion pairs (4, 2, B), q[:, 0] = a and q[:, 1] = b, with the batch
+on the last axis.  ``so4_pairs`` and ``so4_matrices`` convert, and
+``pair_product`` and ``pair_power`` multiply and take the principal power
+g^s = exp(s log g) without leaving the pairs (the power of a unit quaternion,
+Shoemake, SIGGRAPH 1985).
 """
 
 from __future__ import annotations
@@ -177,21 +184,31 @@ def _exp_so4(x: np.ndarray) -> np.ndarray:
     q = np.empty((4,) + angle.shape)
     q[0] = np.cos(angle)
     q[1:] = _ratio(np.sin(angle), angle) * w
-    g = _sum4(_PRODUCT_SIGN * q[_IK, 0] * q[_JK, 1])
-    return np.ascontiguousarray(g.transpose(2, 0, 1))
+    return so4_matrices(q)
 
 
 def _log_so4(g: np.ndarray) -> np.ndarray:
     """Principal log of a (B, 4, 4) stack of rotations g = L_a R_b.
 
+    With alpha and beta the angles of the pair (a, b) (see ``_principal``),
+    log g = (alpha / sin alpha) L_{vec a} + (beta / sin beta) R_{vec b}, with
+    sin alpha read as |vec a|.  The result is exactly skew: L_{vec a} and
+    R_{vec b} have a zero diagonal and opposite signs at (i, j) and (j, i).
+    """
+    q = so4_pairs(g)
+    sin, angle = _principal(q)
+    q[0] = 0.0
+    q[1:] *= _ratio(angle, sin)
+    t = _SIGNS[..., None] * q[_XOR]
+    return np.ascontiguousarray((t[:, :, 0] + t[:, :, 1]).transpose(2, 0, 1))
+
+
+def so4_pairs(g: np.ndarray) -> np.ndarray:
+    """The quaternion pairs q (4, 2, B) of a (B, 4, 4) stack of rotations
+    g = L_a R_b: q[:, 0] = a and q[:, 1] = b, up to the sign they share.
+
     The associate matrix M = a b^T is linear in g.  a is M's column of largest
-    norm, normalized, and b = M^T a.  With alpha and beta the angles of a and
-    b, g rotates by alpha + beta and |alpha - beta|; the sign shared by a and b
-    is chosen so that alpha + beta <= pi, which makes alpha + beta the larger
-    angle.  Then log g = (alpha / sin alpha) L_{vec a} + (beta / sin beta)
-    R_{vec b}, with sin alpha read as |vec a|.  The result is exactly skew:
-    L_{vec a} and R_{vec b} have a zero diagonal and opposite signs at (i, j)
-    and (j, i).
+    norm, normalized, and b = M^T a.
     """
     m = _sum4(_ASSOC_SIGN * g.transpose(1, 2, 0)[_IK, _JK])
     col = np.argmax(_sum4(m * m), axis=0)
@@ -200,15 +217,63 @@ def _log_so4(g: np.ndarray) -> np.ndarray:
     a = m[:, col, np.arange(len(col))]
     q[:, 0] = a = a / np.sqrt(_sum4(a * a))
     q[:, 1] = _sum4(m * a[:, None])
+    return q
+
+
+def so4_matrices(q: np.ndarray) -> np.ndarray:
+    """The (B, 4, 4) stack L_a R_b of the quaternion pairs q (4, 2, B)."""
+    g = _sum4(_PRODUCT_SIGN * q[_IK, 0] * q[_JK, 1])
+    return np.ascontiguousarray(g.transpose(2, 0, 1))
+
+
+def _principal(q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """|vec| and the angles of the pairs q (4, 2, B), on the principal branch.
+
+    With alpha and beta the angles of a and b, L_a R_b rotates by alpha + beta
+    and |alpha - beta|; the sign shared by a and b is chosen, flipping q in
+    place, so that alpha + beta <= pi, which makes alpha + beta the larger
+    angle.  Raises DomainError when alpha + beta is within
+    ``LOG_ANGLE_MARGIN`` of pi, as ``log_grp`` does.
+    """
     sin = _norm3(q[1:])
     angle = np.arctan2(sin, q[0])
     q *= np.where(angle[0] + angle[1] > np.pi, -1.0, 1.0)
     angle = np.arctan2(sin, q[0])
     _check_log_domain(angle[0] + angle[1])
-    q[0] = 0.0
-    q[1:] *= _ratio(angle, sin)
-    t = _SIGNS[..., None] * q[_XOR]
-    return np.ascontiguousarray((t[:, :, 0] + t[:, :, 1]).transpose(2, 0, 1))
+    return sin, angle
+
+
+def pair_product(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """The pairs of the products of the rotations of pairs p and q (4, 2, B):
+    L_a R_b L_c R_d = L_{ac} R_{db}, by the Hamilton product."""
+    out = np.empty(np.broadcast_shapes(p.shape, q.shape))
+    _hamilton(p[:, 0], q[:, 0], out[:, 0])
+    _hamilton(q[:, 1], p[:, 1], out[:, 1])
+    return out
+
+
+def _hamilton(x: np.ndarray, y: np.ndarray, out: np.ndarray) -> None:
+    """out = x y for quaternions on the first axis."""
+    x0, x1, x2, x3 = x
+    y0, y1, y2, y3 = y
+    out[0] = x0 * y0 - x1 * y1 - x2 * y2 - x3 * y3
+    out[1] = x0 * y1 + x1 * y0 + x2 * y3 - x3 * y2
+    out[2] = x0 * y2 - x1 * y3 + x2 * y0 + x3 * y1
+    out[3] = x0 * y3 + x1 * y2 - x2 * y1 + x3 * y0
+
+
+def pair_power(q: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """The pairs of g^s = exp(s log g), the principal power, for pairs q
+    (4, 2, B) and exponents s (B,); q is overwritten and returned.
+
+    On the principal branch (``_principal``), exp(s log L_a R_b) =
+    L_{a^s} R_{b^s} with a^s = (cos s alpha, sin s alpha vec a / |vec a|).
+    """
+    sin, angle = _principal(q)
+    angle *= s
+    q[0] = np.cos(angle)
+    q[1:] *= _ratio(np.sin(angle), sin)
+    return q
 
 
 def adjoint(g: np.ndarray, xi: np.ndarray) -> np.ndarray:

@@ -23,7 +23,7 @@ Fiber integration slots the simplex directions first:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -35,6 +35,10 @@ from .matgroup import (
     exp_alg,
     log_grp,
     nerve_point,
+    pair_power,
+    pair_product,
+    so4_matrices,
+    so4_pairs,
     tangent_frame,
     trivialized_difference,
 )
@@ -45,7 +49,46 @@ _APEX_EPS = 1e-13
 FD_STEP = 1e-4
 
 
-def _contract(t: np.ndarray, hs: np.ndarray) -> np.ndarray:
+class _Group(NamedTuple):
+    """A representation of stacks of SO(n) elements for the cone."""
+
+    # (D, n, n) matrices -> D elements
+    convert: Callable[[np.ndarray], np.ndarray]
+    # B elements -> (B, n, n) matrices
+    matrices: Callable[[np.ndarray], np.ndarray]
+    # (B, n) -> B identities
+    identity: Callable[[int, int], np.ndarray]
+    # index of rows (a mask or integers) on the batch axis
+    at: Callable[[np.ndarray], object]
+    product: Callable[[np.ndarray, np.ndarray], np.ndarray]
+    # (u, s) -> exp(s log u) per row, s (B,); may overwrite u
+    power: Callable[[np.ndarray, np.ndarray], np.ndarray]
+
+
+_MATRICES = _Group(
+    convert=lambda h: h,
+    matrices=lambda g: g,
+    identity=lambda batch, n: np.broadcast_to(np.eye(n), (batch, n, n)).copy(),
+    at=lambda rows: rows,
+    product=np.matmul,
+    power=lambda u, s: exp_alg(s[:, None, None] * log_grp(u)),
+)
+# n = 4: unit-quaternion pairs (4, 2, B), batch on the last axis
+_PAIRS = _Group(
+    convert=so4_pairs,
+    matrices=so4_matrices,
+    identity=lambda batch, n: np.broadcast_to(np.eye(4, 1)[..., None], (4, 2, batch)).copy(),
+    at=lambda rows: (..., rows),
+    product=pair_product,
+    power=pair_power,
+)
+
+
+def _group(n: int) -> _Group:
+    return _PAIRS if n == 4 else _MATRICES
+
+
+def _contract(t: np.ndarray, hs: np.ndarray, rows: np.ndarray | None = None) -> np.ndarray:
     """sigma_l(t_0, ..., t_l; h_1, ..., h_l) for near-identity h's: the cone
 
         sigma_l(t; h) = rho_{1-t_0}(h_1 sigma_{l-1}((t_1..t_l)/(1-t_0); h_2..)),
@@ -53,22 +96,36 @@ def _contract(t: np.ndarray, hs: np.ndarray) -> np.ndarray:
 
     with value 1 at the apex t_0 = 1.  It satisfies the simplicial
     compatibility with the nerve faces exactly; sigma_1(t; h) = exp(t_1 log h).
-    On a batch, t (B, l+1) and hs (B, l, n, n) give (B, n, n); every matrix
-    gets the same operations as in a batch of one, so a row's value does not
-    depend on the other rows."""
-    batch, l, n = hs.shape[0], hs.shape[1], hs.shape[-1]
-    # recursion over the depth; rows at the apex keep the identity
-    out = np.broadcast_to(np.eye(n), (batch, n, n)).copy()
-    if l == 0:
+
+    On a batch, t (B, l+1) and hs (D, l, n, n) give the B values in the
+    representation ``_group(n)``: quaternion pairs (4, 2, B) for n = 4,
+    (B, n, n) matrices otherwise.  Row r contracts hs[rows[r]] (rows defaults
+    to range(B), with D = B); each of the D argument tuples is converted to
+    the representation once.  Every row gets the same operations as in a
+    batch of one, so its value does not depend on the other rows.
+    """
+    n = hs.shape[-1]
+    group = _group(n)
+    args = [group.convert(h) for h in hs.swapaxes(0, 1)]
+
+    def cone(t, depth, rows):
+        # the recursion over the depth; rows at the apex get the identity
+        if depth == len(args):
+            return group.identity(len(t), n)
+        rest = 1.0 - t[:, 0]
+        live = rest > _APEX_EPS
+        if not live.any():
+            return group.identity(len(t), n)
+        rest, inner_rows = rest[live], rows[live]
+        inner = cone(t[live, 1:] / rest[:, None], depth + 1, inner_rows)
+        value = group.power(group.product(args[depth][group.at(inner_rows)], inner), rest)
+        if live.all():
+            return value
+        out = group.identity(len(t), n)
+        out[group.at(live)] = value
         return out
-    rest = 1.0 - t[:, 0]
-    live = rest > _APEX_EPS
-    if live.any():
-        rest = rest[live][:, None]
-        inner = _contract(t[live, 1:] / rest, hs[live, 1:])
-        u = hs[live, 0] @ inner
-        out[live] = exp_alg(rest[:, None] * log_grp(u))
-    return out
+
+    return cone(t, 0, np.arange(len(t)) if rows is None else rows)
 
 
 def level_map(m: int, q: int, t: Sequence[float], hs: Sequence[np.ndarray]) -> NervePoint:
@@ -77,7 +134,9 @@ def level_map(m: int, q: int, t: Sequence[float], hs: Sequence[np.ndarray]) -> N
     hs = list(hs)
     if len(hs) != m + q - 1:
         raise ValueError(f"expected {m + q - 1} group arguments, got {len(hs)}")
-    sigma = _contract(np.asarray(t, dtype=float)[None], np.stack(hs[m - 1 :])[None])[0]
+    contracted = np.stack(hs[m - 1 :])[None]
+    cone = _contract(np.asarray(t, dtype=float)[None], contracted)
+    sigma = _group(contracted.shape[-1]).matrices(cone)[0]
     return nerve_point(hs[: m - 1] + [sigma])
 
 
@@ -92,10 +151,13 @@ def transgression_form(
 
     Simplex-direction and U-direction tangents of the level map are pushed
     through sigma by central finite differences of step ``FD_STEP`` and
-    left-trivialized.  One evaluation contracts all quadrature nodes of the
-    rule in one batched call per perturbation direction (the base point,
-    +-FD_STEP along each simplex direction, +-FD_STEP along each frame), and
-    evaluates mu, a word sum, once on all nodes; ``ordered_sum`` adds the
+    left-trivialized.  One evaluation makes one ``_contract`` call: its rows
+    are the quadrature nodes, then the nodes shifted by +-FD_STEP along each
+    simplex direction, then the nodes again for the point pushed by
+    +-FD_STEP along each frame, and a row -> argument index picks, per row,
+    the point or its push.  For n = 4 the cone stays in quaternion pairs, and
+    4 x 4 matrices are formed one direction at a time for the differences.
+    mu, a word sum, is evaluated once on all nodes; ``ordered_sum`` adds the
     weighted values.  The result equals the node-by-node reference of
     ``test_batched_form_equals_per_node_reference`` bit for bit.
     """
@@ -109,42 +171,48 @@ def transgression_form(
     sign = -1.0 if m % 2 else 1.0
     nodes = rule.nodes
     n_nodes = len(nodes)
-    # simplex directions d/dt_a, a = 1..q (t_0 compensates)
-    shifted = []
+    # direction blocks of nodes: the base, +-FD_STEP along each simplex
+    # direction d/dt_a, a = 1..q (t_0 compensates), then +-FD_STEP along
+    # each frame at the unshifted nodes
+    blocks = [nodes]
     for a in range(1, q + 1):
         step = np.zeros(q + 1)
         step[[0, a]] = -FD_STEP, FD_STEP
-        shifted.append((nodes + step, nodes - step))
-
-    def contract_nodes(t: np.ndarray, hs: np.ndarray) -> np.ndarray:
-        # the last q arguments, repeated for every node
-        return _contract(t, np.broadcast_to(hs[m - 1 :], (n_nodes, q) + hs.shape[1:]))
+        blocks += [nodes + step, nodes - step]
+    times = np.concatenate(blocks + [nodes] * (2 * degree))
+    # argument index per row: 0 the point, 2k + 1 and 2k + 2 its pushes
+    # along frame k
+    rows = np.repeat(np.r_[[0] * (2 * q + 1), 1 + np.arange(2 * degree)], n_nodes)
 
     def fn(p: NervePoint, frames: Sequence[TangentFrame]) -> float:
         if p.level != level:
             raise ValueError(f"expected {level} group arguments, got {p.level}")
         hs = np.stack(p.components)
         kept = hs[: m - 1]
-        base = contract_nodes(nodes, hs)
-        # per direction: tangents of the passed-through slots (the same at
-        # every node) and of the contracted slot (one per node)
-        still = np.zeros_like(kept)
-        directions = [
-            (still, trivialized_difference(base, contract_nodes(tp, hs),
-                                           contract_nodes(tm, hs), FD_STEP))
-            for tp, tm in shifted
-        ]
+        # tangents of the passed-through slots, the same at every node
+        pushed = [np.zeros_like(kept)] * q
+        contracted = [hs[m - 1 :]]
         for v in frames:
             xi = np.stack(v.components)
             hp = hs @ exp_alg(FD_STEP * xi)
             hm = hs @ exp_alg(-FD_STEP * xi)
-            directions.append((
-                trivialized_difference(kept, hp[: m - 1], hm[: m - 1], FD_STEP),
-                trivialized_difference(
-                    base, contract_nodes(nodes, hp), contract_nodes(nodes, hm), FD_STEP
-                ),
-            ))
-        tangents = tuple(tangent_frame([*pushed, contracted]) for pushed, contracted in directions)
+            pushed.append(trivialized_difference(kept, hp[: m - 1], hm[: m - 1], FD_STEP))
+            contracted += [hp[m - 1 :], hm[m - 1 :]]
+        group = _group(p.n)
+        cone = _contract(times, np.stack(contracted), rows)
+
+        def block(k: int) -> np.ndarray:
+            return group.matrices(cone[group.at(slice(k * n_nodes, (k + 1) * n_nodes))])
+
+        base = block(0)
+        # per direction: the passed-through tangents and the contracted
+        # slot's tangent (one per node)
+        tangents = tuple(
+            tangent_frame([*still, trivialized_difference(base, block(2 * k + 1),
+                                                          block(2 * k + 2), FD_STEP)])
+            for k, still in enumerate(pushed)
+        )
+        del cone  # free the cone's values before mu runs
         values = mu.fn(nerve_point([*kept, base]), tangents)
         return sign * ordered_sum(rule.weights * values)
 

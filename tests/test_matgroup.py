@@ -11,11 +11,15 @@ from eulernerve.matgroup import (
     log_grp,
     move_point,
     nerve_point,
+    pair_power,
+    pair_product,
     random_frame,
     random_skew,
     sample_haar,
     sample_near_identity,
     skew_project,
+    so4_matrices,
+    so4_pairs,
 )
 
 J = np.array([[0.0, -1.0], [1.0, 0.0]])
@@ -204,6 +208,101 @@ def test_so4_log_domain_error_anywhere_in_stack(rng):
     g[2] = planar(0.3, np.pi - 1e-9)
     with pytest.raises(DomainError, match="within 1e-06 of pi"):
         log_grp(g)
+
+
+# ---------------------------------------------------------------------------
+# n = 4: unit-quaternion pairs (4, 2, B)
+
+
+def pairs_of(a, b):
+    """The (4, 2, B) stack of the pairs (a[r], b[r])."""
+    return np.stack([np.asarray(a).T, np.asarray(b).T], axis=1)
+
+
+def haar_stack(n_rows, seed):
+    rng = np.random.default_rng(seed)
+    return np.stack([sample_haar(4, rng) for _ in range(n_rows)])
+
+
+def test_pairs_round_trip():
+    g = haar_stack(64, 41)
+    q = so4_pairs(g)
+    assert q.shape == (4, 2, 64)
+    assert np.max(np.abs(np.sum(q * q, axis=0) - 1.0)) < 1e-15
+    assert np.max(np.abs(so4_matrices(q) - g)) < 1e-15
+    # the pair of L_a R_b is (a, b) up to the sign they share
+    rng = np.random.default_rng(42)
+    a, b = (x / np.linalg.norm(x, axis=1)[:, None] for x in rng.standard_normal((2, 16, 4)))
+    expected = np.stack([left(x) @ right(y) for x, y in zip(a, b)])
+    assert np.max(np.abs(so4_matrices(pairs_of(a, b)) - expected)) < 1e-15
+    q = so4_pairs(expected)
+    shared = np.sign(np.sum(q[:, 0] * a.T, axis=0))
+    assert np.max(np.abs(q * shared - pairs_of(a, b))) < 1e-15
+
+
+def test_pair_product_is_the_matrix_product():
+    g, h = haar_stack(64, 43), haar_stack(64, 44)
+    product = so4_matrices(pair_product(so4_pairs(g), so4_pairs(h)))
+    assert np.max(np.abs(product - g @ h)) < 1e-14
+
+
+@pytest.mark.parametrize("name, xs", SO4_DRAWS, ids=[name for name, _ in SO4_DRAWS])
+def test_pair_power_matches_exp_of_scaled_log(name, xs):
+    g = np.stack([expm(x) for x in xs])
+    s = np.random.default_rng(45).uniform(0.0, 1.0, len(g))
+    power = so4_matrices(pair_power(so4_pairs(g), s))
+    # the power is as well conditioned as the log it replaces
+    tol = 5e-14 / (np.pi - np.linalg.norm(xs[0], 2))
+    assert np.max(np.abs(power - exp_alg(s[:, None, None] * log_grp(g)))) < tol
+    assert np.max(np.abs(power - np.stack([expm(r * x) for r, x in zip(s, xs)]))) < tol
+
+
+def test_pair_power_flips_the_sign_of_the_pair():
+    # alpha + beta > pi: the principal power is the one of (-a, -b), whose
+    # angles are pi - alpha and pi - beta
+    rng = np.random.default_rng(46)
+    alpha, beta = rng.uniform(1.7, np.pi - 0.05, (2, 32))
+    a = np.stack([unit(x, w) for x, w in zip(alpha, rng.standard_normal((32, 3)))])
+    b = np.stack([unit(x, w) for x, w in zip(beta, rng.standard_normal((32, 3)))])
+    g = so4_matrices(pairs_of(a, b))
+    s = rng.uniform(0.0, 1.0, 32)
+    power = so4_matrices(pair_power(pairs_of(a, b), s))
+    assert np.max(np.abs(power - np.stack([expm(r * eig_log(x)) for r, x in zip(s, g)]))) < 1e-13
+    assert np.max(np.abs(so4_matrices(pair_power(pairs_of(a, b), np.ones(32))) - g)) < 1e-14
+
+
+@pytest.mark.parametrize("g", [
+    planar(np.pi - 1e-9, 0.3),
+    planar(0.3, np.pi - 1e-9),
+    -np.eye(4),
+], ids=["alpha-plus-beta", "alpha-minus-beta", "minus-identity"])
+def test_pair_power_domain_error_near_pi(g):
+    with pytest.raises(DomainError, match="within 1e-06 of pi"):
+        pair_power(so4_pairs(g[None]), np.array([0.5]))
+
+
+def test_pair_power_domain_error_anywhere_in_stack(rng):
+    g = np.stack([sample_near_identity(4, 0.5, rng) for _ in range(5)])
+    g[3] = planar(np.pi - 1e-9, 0.3)
+    with pytest.raises(DomainError, match="within 1e-06 of pi"):
+        pair_power(so4_pairs(g), np.full(5, 0.5))
+
+
+def test_pair_kernels_stacked_equal_one_row_calls():
+    # Haar rotations: about a third of the pairs, and half of their products,
+    # take the alpha + beta > pi flip
+    g = haar_stack(64, 47)
+    s = np.random.default_rng(49).uniform(0.0, 1.0, 64)
+    q = so4_pairs(g)
+    assert np.array_equal(q, np.concatenate([so4_pairs(x[None]) for x in g], axis=-1))
+    assert np.array_equal(so4_matrices(q), np.stack([so4_matrices(q[..., r:r + 1])[0]
+                                                     for r in range(64)]))
+    p = q[..., ::-1].copy()
+    product = pair_product(p, q)
+    assert np.array_equal(product, np.concatenate(
+        [pair_product(p[..., r:r + 1], q[..., r:r + 1]) for r in range(64)], axis=-1))
+    rows = [pair_power(product[..., r:r + 1].copy(), s[r:r + 1]) for r in range(64)]
+    assert np.array_equal(pair_power(product, s), np.concatenate(rows, axis=-1))
 
 
 def test_stacked_calls_equal_per_matrix_calls():

@@ -1,3 +1,5 @@
+from functools import partial
+
 import numpy as np
 import pytest
 from test_checks import run_entry
@@ -11,15 +13,20 @@ from eulernerve.matgroup import (
     exp_alg,
     log_grp,
     nerve_point,
+    pair_power,
+    pair_product,
     random_frame,
     sample_near_identity,
     skew_project,
+    so4_matrices,
+    so4_pairs,
     tangent_frame,
 )
 from eulernerve.simplex import quadrature_rule
 from eulernerve.transgression import (
     LocalCochain,
     _contract,
+    _group,
     level_map,
     local_cochain,
     transgression_form,
@@ -34,9 +41,14 @@ def identity_point(n, level):
     return nerve_point([np.eye(n)] * level, n=n)
 
 
+def contract(t, hs, rows=None):
+    """The library's cone on a batch, as (B, n, n) matrices."""
+    return _group(hs.shape[-1]).matrices(_contract(t, hs, rows))
+
+
 def sigma(t, hs):
     """The library's sigma_l at one point: ``_contract`` on a batch of one."""
-    return _contract(np.asarray(t, dtype=float)[None], np.stack(hs)[None])[0]
+    return contract(np.asarray(t, dtype=float)[None], np.stack(hs)[None])[0]
 
 
 def sigma_reference(t, hs, n=4):
@@ -49,9 +61,27 @@ def sigma_reference(t, hs, n=4):
     return exp_alg(rest * log_grp(hs[0] @ sigma_reference(t[1:] / rest, hs[1:], n)))
 
 
+def sigma_pair_reference(t, hs):
+    """sigma_l for n = 4 by the same per-point recursion on unit-quaternion
+    pairs, through the matgroup pair kernels on batches of one (pinned in
+    ``test_matgroup.py``): pair_power(pair(h_1) sigma_{l-1}, 1 - t_0), and
+    one matrix at the end."""
+
+    def recurse(t, hs):
+        rest = 1.0 - t[0]
+        if len(hs) == 0 or rest <= 1e-13:
+            one = np.zeros((4, 2, 1))
+            one[0] = 1.0
+            return one
+        inner = recurse(t[1:] / rest, hs[1:])
+        return pair_power(pair_product(so4_pairs(hs[0][None]), inner), np.array([rest]))
+
+    return so4_matrices(recurse(np.asarray(t, dtype=float), hs))[0]
+
+
 def level_map_reference(m, q, t, hs):
-    """f_{m,q} on ``sigma_reference``."""
-    return nerve_point(list(hs[: m - 1]) + [sigma_reference(np.asarray(t), hs[m - 1 :])])
+    """f_{m,q} on ``sigma_pair_reference``."""
+    return nerve_point(list(hs[: m - 1]) + [sigma_pair_reference(np.asarray(t), hs[m - 1 :])])
 
 
 # ---------------------------------------------------------------------------
@@ -73,17 +103,44 @@ def test_cone_apex_is_identity(rng):
 
 def test_batched_cone_rows_match_single_rows(rng):
     # rows at the apex, at the apex of an inner level, and inside the simplex
-    # share one batch; each row equals the per-point recursion bit for bit
-    for n in (4, 6):
+    # share one batch; each row equals the per-point recursion bit for bit:
+    # on quaternion pairs for n = 4, on matrices for n = 6
+    for n, reference in ((4, sigma_pair_reference), (6, partial(sigma_reference, n=6))):
         for l in (1, 2, 3):
             hs = np.stack([[near(rng, n=n) for _ in range(l)] for _ in range(16)])
             t = rng.dirichlet(np.ones(l + 1), size=16)
             t[1] = np.eye(l + 1)[0]
             t[3] = np.r_[0.25, 0.75, np.zeros(l - 1)]
-            out = _contract(t, hs)
+            out = contract(t, hs)
             for row in range(16):
-                assert np.array_equal(out[row], sigma_reference(t[row], hs[row], n))
+                assert np.array_equal(out[row], reference(t[row], hs[row]))
             assert np.array_equal(out[1], np.eye(n))
+
+
+def test_contracted_rows_pick_their_arguments(rng):
+    # a row -> argument index gives each row the value of a batch of one
+    for n in (4, 6):
+        hs = np.stack([[near(rng, n=n) for _ in range(2)] for _ in range(3)])
+        t = rng.dirichlet(np.ones(3), size=8)
+        rows = rng.integers(0, 3, size=8)
+        out = contract(t, hs, rows)
+        for row in range(8):
+            assert np.array_equal(out[row], sigma(t[row], list(hs[rows[row]])))
+
+
+@pytest.mark.parametrize("radius", [0.1, 0.5, 1.0, 2.0])
+def test_pair_cone_matches_matrix_recursion(radius):
+    # the n = 4 pair cone and exp((1 - t_0) log(h_1 sigma_{l-1})) on matrices
+    # agree to rounding
+    rng = np.random.default_rng(int(10 * radius))
+    worst = 0.0
+    for l in (1, 2, 3):
+        hs = np.stack([[near(rng, radius) for _ in range(l)] for _ in range(32)])
+        t = rng.dirichlet(np.ones(l + 1), size=32)
+        out = contract(t, hs)
+        for row in range(32):
+            worst = max(worst, np.max(np.abs(out[row] - sigma_reference(t[row], hs[row]))))
+    assert worst < 1e-15
 
 
 @pytest.mark.parametrize("l", [2, 3])

@@ -238,8 +238,8 @@ def clutching_euler_number(k: int, steps: int = 256) -> float:
 
 
 def bundle_projection(gs: Sequence[np.ndarray]) -> NervePoint:
-    comps = [gs[i] @ gs[i + 1].T for i in range(len(gs) - 1)]
-    return nerve_point(comps, n=gs[0].shape[0])
+    comps = [gs[i] @ gs[i + 1].swapaxes(-1, -2) for i in range(len(gs) - 1)]
+    return nerve_point(comps, n=gs[0].shape[-1])
 
 
 def bundle_projection_pushforward(
@@ -248,5 +248,5 @@ def bundle_projection_pushforward(
     """Exact differential in left trivialization: slot m receives
     Ad(g_m)(xi_{m-1} - xi_m)."""
     comps = [adjoint(gs[m], xis[m - 1] - xis[m]) for m in range(1, len(gs))]
-    return tangent_frame(comps, n=gs[0].shape[0])
+    return tangent_frame(comps, n=gs[0].shape[-1])
 

@@ -14,12 +14,19 @@ Conventions, used consistently across the package:
   their wedge product;
 * a sum of words is evaluated from a table built once per sum (see
   WordSumEvaluator): its distinct letters (generator, frame index), its
-  distinct factor entries and an index array giving every (word, shuffle)
-  row's factors;
+  distinct factor entries and an index array with one row per multiset of
+  factor entries.  The matching sum of a (word, shuffle) row does not depend
+  on the order of its factors (reordering the pairs of a matching is an even
+  permutation of range(2p), as 2-forms e_a ^ e_b commute), so the rows that
+  pick the same entries merge into one with the sum of their coefficients:
+  E_{2,4} of SO(6) has 288 (word, shuffle) rows and 48 merged rows;
 * the S_{2p} sum of a row is taken over the (2p)!/2^p ordered perfect
   matchings of the factors' skew parts m - m^T (see pfaffian_contraction):
   the terms of tau and of tau followed by a swap inside one pair cancel into
-  one skew pair value, so p = 3 multiplies out 90 terms instead of 720.
+  one skew pair value, so p = 3 multiplies out 90 terms instead of 720;
+* the exterior derivative is Cartan's formula with a central-difference
+  stencil along left-invariant flows, whose 4(s+1) moved points take their
+  exponentials in one ``exp_alg`` call.
 """
 
 from __future__ import annotations
@@ -36,8 +43,8 @@ from .matgroup import (
     NervePoint,
     TangentFrame,
     adjoint,
+    exp_alg,
     frame_bracket,
-    move_point,
 )
 
 # ---------------------------------------------------------------------------
@@ -316,15 +323,21 @@ class WordSumEvaluator:
     All words must have the same number of factors p with n = 2p, so every
     word is contracted over the same ordered perfect matchings of range(n).
 
-    The sum is a fixed table, built once from the words.  Each row is one
-    (word, shuffle) pair with coefficient * sgn(shuffle); its p factor
-    matrices are picked from the distinct entries by an (rows, p) index
-    array.  An entry is a letter, one generator on one frame, or the wedge
-    a(X_i) b(X_j) - a(X_j) b(X_i) of two generators on frames i, j.  A call
-    evaluates each distinct letter once, computes each distinct entry and its
-    skew pair values once, gathers the rows' pair values with one fancy index
-    and contracts them over the perfect matchings, as pfaffian_contraction
-    does.
+    The sum is a fixed table, built once from the words.  Each (word,
+    shuffle) pair gives coefficient * sgn(shuffle) times the matching sum of
+    p factor matrices, picked from the distinct entries.  An entry is a
+    letter, one generator on one frame, or the wedge a(X_i) b(X_j) -
+    a(X_j) b(X_i) of two generators on frames i, j.  Permuting the p factors
+    reorders the pairs of every ordered matching, which composes it with an
+    even permutation of range(n), so the matching sum is symmetric in its
+    factors: the pairs that pick the same multiset of entries share one row,
+    stored as its sorted entry ids in an (rows, p) index array, with their
+    coefficients summed in first-use order.  The merge is exact in exact
+    arithmetic; in floating point only the rounding of the sum moves.  A
+    call evaluates each distinct letter once, computes each distinct entry
+    and its skew pair values once, gathers the rows' pair values with one
+    fancy index and contracts them over the perfect matchings, as
+    pfaffian_contraction does.
     Only word sums take stacked points and frames (see matgroup): the value is
     an array of their batch shape, whose axes come first, so each sample is
     contracted and summed by the BLAS calls of a lone call, bit for bit.
@@ -352,8 +365,8 @@ class WordSumEvaluator:
         def letter(gen: Generator, j: int) -> int:
             return letters.setdefault((gen, j), len(letters))
 
-        index = []
-        coeffs = []
+        # one row per multiset of factor entries, keyed by its sorted ids
+        rows: dict[tuple[int, ...], float] = {}
         for w in words:
             degs = tuple(f.degree for f in w.factors)
             for sign, blocks in shuffle_table(degs):
@@ -365,12 +378,12 @@ class WordSumEvaluator:
                         i, j = block
                         key = (letter(f.a, i), letter(f.b, j), letter(f.a, j), letter(f.b, i))
                     row.append(entries.setdefault(key, len(entries)))
-                index.append(row)
-                coeffs.append(w.coefficient * sign)
+                multiset = tuple(sorted(row))
+                rows[multiset] = rows.get(multiset, 0.0) + w.coefficient * sign
         self._letters = tuple(letters)
         self._entries = tuple(entries)
-        self._index = np.array(index, dtype=np.intp)
-        self._coeffs = np.array(coeffs)
+        self._index = np.array(list(rows), dtype=np.intp)
+        self._coeffs = np.array(list(rows.values()))
 
     def __call__(self, p: NervePoint, frames: Sequence[TangentFrame]) -> float | np.ndarray:
         shape = np.broadcast_shapes(*{c.shape for v in (p, *frames) for c in v.components})
@@ -401,10 +414,35 @@ def word_sum_form(level: int, n: int, words: Sequence[WordForm]) -> FormEvaluato
 EXTERIOR_STEP = 1e-4
 
 
-def _directional(f: Callable[[float], float], step: float) -> float:
-    d1 = (f(step) - f(-step)) / (2.0 * step)
-    d2 = (f(0.5 * step) - f(-0.5 * step)) / step
+def _directional(values: Sequence[float], step: float) -> float:
+    """Central difference with one Richardson level, from the values at the
+    stencil times (step, -step, step/2, -step/2)."""
+    d1 = (values[0] - values[1]) / (2.0 * step)
+    d2 = (values[2] - values[3]) / step
     return (4.0 * d2 - d1) / 3.0
+
+
+def _stencil_points(
+    p: NervePoint, frames: Sequence[TangentFrame], step: float
+) -> list[list[NervePoint]]:
+    """moved[i][k]: p flowed along frames[i] for the k-th stencil time.
+
+    Every exponential of the stencil is one ``exp_alg`` call on the stack of
+    times x frame components (broadcast to a common batch shape), which maps
+    a stack matrix by matrix, so each moved point is bit-identical to its
+    own ``move_point``.
+    """
+    times = np.array([step, -step, 0.5 * step, -0.5 * step])
+    xis = np.stack(np.broadcast_arrays(*(c for v in frames for c in v.components)))
+    steps = exp_alg(np.multiply.outer(times, xis))
+    steps = steps.reshape((len(times), len(frames), p.level) + steps.shape[2:])
+    return [
+        [
+            NervePoint(n=p.n, components=tuple(h @ e for h, e in zip(p.components, steps[k, i])))
+            for k in range(len(times))
+        ]
+        for i in range(len(frames))
+    ]
 
 
 def exterior_derivative(omega: FormEvaluator, step: float = EXTERIOR_STEP) -> FormEvaluator:
@@ -412,18 +450,19 @@ def exterior_derivative(omega: FormEvaluator, step: float = EXTERIOR_STEP) -> Fo
 
     The frames are extended to left-invariant fields, so the derivative terms
     are directional derivatives along (h_k exp(t xi_k)) flows and the bracket
-    terms use the componentwise algebra bracket.
+    terms use the componentwise algebra bracket.  The 4(s+1) moved points of
+    the derivative terms take their exponentials in one call (see
+    ``_stencil_points``); omega is then evaluated on each moved point.
     """
 
     s = omega.degree
 
     def fn(p: NervePoint, frames: Sequence[TangentFrame]) -> float:
+        moved = _stencil_points(p, frames, step)
         total = 0.0
         for i in range(s + 1):
             rest = frames[:i] + frames[i + 1 :]
-            vi = frames[i]
-            f = lambda t: omega.fn(move_point(p, vi, t), rest)
-            term = _directional(f, step)
+            term = _directional([omega.fn(q, rest) for q in moved[i]], step)
             total += term if i % 2 == 0 else -term
         for i in range(s + 1):
             for j in range(i + 1, s + 1):

@@ -63,7 +63,7 @@ def face_pushforward(i: int, q: int, p: NervePoint, v: TangentFrame) -> TangentF
         comps = xs[:-1]
     else:
         h_next = p.components[i]
-        merged = adjoint(h_next.T, xs[i - 1]) + xs[i]
+        merged = adjoint(h_next.swapaxes(-1, -2), xs[i - 1]) + xs[i]
         comps = xs[: i - 1] + (merged,) + xs[i + 1 :]
     return TangentFrame(n=v.n, components=comps)
 

@@ -15,7 +15,10 @@ from eulernerve.euler import builtin_cocycle
 from eulernerve.forms import pfaffian_contraction
 from eulernerve.matgroup import nerve_point, random_frame, sample_haar
 
-# rows of the largest word sum that verify-euler --n 6 evaluates, E_{2,4}
+# (word, shuffle) rows of E_{2,4}, the largest word sum that verify-euler
+# --n 6 evaluates; its evaluator merges them into 48 rows, one per multiset
+# of factor entries, so this stack is kept at 288 for comparison with
+# earlier timings, not as the size of a call
 SO6_ROWS = 288
 
 

@@ -247,6 +247,23 @@ def test_projection_point(rng):
     assert np.allclose(point.components[1], gs[1] @ gs[2].T, atol=0)
 
 
+def test_projection_on_stacks(rng):
+    # stacks of group elements project, and push forward, one stack entry at
+    # a time, bit for bit
+    draws = [([sample_haar(4, rng) for _ in range(3)], [random_skew(4, rng) for _ in range(3)])
+             for _ in range(2)]
+    gs = [np.stack(c) for c in zip(*(d[0] for d in draws))]
+    xis = [np.stack(c) for c in zip(*(d[1] for d in draws))]
+    point = bundle_projection(gs)
+    frame = bundle_projection_pushforward(gs, xis)
+    assert point.n == frame.n == 4
+    for k, (g, x) in enumerate(draws):
+        for got, want in zip(point.components, bundle_projection(g).components):
+            assert np.array_equal(got[k], want)
+        for got, want in zip(frame.components, bundle_projection_pushforward(g, x).components):
+            assert np.array_equal(got[k], want)
+
+
 def test_generated_cocycle_is_total_cocycle(rng, monkeypatch):
     monkeypatch.setattr(checks, "builtin_cocycle", lambda n: generated_cocycle(2))
     result = run_entry(checks.total_cocycle,

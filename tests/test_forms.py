@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -7,12 +9,16 @@ from test_checks import run_entry
 from eulernerve.checks import maurer_cartan
 from eulernerve.euler import builtin_cocycle, euler_component
 from eulernerve.forms import (
+    EXTERIOR_STEP,
     FormEvaluator,
     WordSumEvaluator,
+    _directional,
+    _skew_pairs,
     exterior_derivative,
     generator_value,
     lin,
     lmc,
+    matching_table,
     perm_table,
     pfaffian_contraction,
     phi,
@@ -25,6 +31,8 @@ from eulernerve.forms import (
     word_sum_form,
 )
 from eulernerve.matgroup import (
+    frame_bracket,
+    move_point,
     nerve_point,
     random_frame,
     random_skew,
@@ -243,19 +251,39 @@ def _stacked(objs, make):
     return make([np.stack(c) for c in zip(*(o.components for o in objs))])
 
 
-@pytest.mark.parametrize("source", ["builtin-2", "builtin-4", "builtin-6",
-                                    "generated-1", "generated-2", "generated-3"])
-def test_factor_table_matches_row_loop(source):
-    # the precomputed factor table must not change a single bit of any
-    # Euler component against building every row on its own, and a stack of
-    # points must give each point's own value
+def _components(source):
     kind, size = source.split("-")
     if kind == "builtin":
-        forms = list(builtin_cocycle(int(size)).components.values())
-    else:
-        forms = [euler_component(int(size), q) for q in range(int(size))]
+        return list(builtin_cocycle(int(size)).components.values())
+    return [euler_component(int(size), q) for q in range(int(size))]
+
+
+SOURCES = ["builtin-2", "builtin-4", "builtin-6", "generated-1", "generated-2", "generated-3"]
+
+
+def _term_magnitude(ev, p, frames):
+    """sum_r |c_r| sum_matchings prod_i |pair value| over the evaluator's
+    merged rows: the running error bound of its value (Higham, Accuracy and
+    Stability of Numerical Algorithms, 2002, ch. 3)."""
+    vals = [generator_value(gen, p, frames[j]) for gen, j in ev._letters]
+    mats = [vals[e[0]] if len(e) == 1 else vals[e[0]] @ vals[e[1]] - vals[e[2]] @ vals[e[3]]
+            for e in ev._entries]
+    pairs = np.abs(_skew_pairs(np.array(mats)))[ev._index]
+    table, _ = matching_table(ev.n // 2)
+    prod = np.ones((len(ev._index), len(table)))
+    for i in range(ev.n // 2):
+        prod *= pairs[:, i, table[:, i]]
+    return float(np.abs(ev._coeffs) @ prod.sum(axis=1))
+
+
+@pytest.mark.parametrize("source", SOURCES)
+def test_factor_table_matches_row_loop(source):
+    # the merged factor table must agree with building every (word, shuffle)
+    # row on its own to within the rounding of its own sum, 8 eps times the
+    # term magnitude, and a stack of points must give each point's own value
+    # bit for bit
     rng = np.random.default_rng(5)
-    for form in forms:
+    for form in _components(source):
         ev = form.fn
         assert isinstance(ev, WordSumEvaluator)
         draws = []
@@ -264,7 +292,8 @@ def test_factor_table_matches_row_loop(source):
             frames = tuple(random_frame(ev.level, ev.n, rng) for _ in range(ev.degree))
             value = ev(point, frames)
             assert value != 0.0
-            assert value == _row_loop(ev, point, frames)
+            bound = 8 * np.finfo(float).eps * _term_magnitude(ev, point, frames)
+            assert abs(value - _row_loop(ev, point, frames)) <= bound
             draws.append((point, frames, value))
         points, frame_draws, values = zip(*draws)
         stacked = ev(
@@ -273,6 +302,39 @@ def test_factor_table_matches_row_loop(source):
         )
         assert stacked.shape == (2,)
         assert list(stacked) == list(values)
+
+
+@pytest.mark.parametrize("source", SOURCES)
+def test_merged_rows_are_distinct_sorted_multisets(source):
+    # one row per multiset of factor entries, stored as its sorted entry ids
+    for form in _components(source):
+        rows = [tuple(r) for r in form.fn._index.tolist()]
+        assert all(list(r) == sorted(r) for r in rows)
+        assert len(set(rows)) == len(rows) == len(form.fn._coeffs)
+
+
+def test_merged_row_counts_so6():
+    counts = {key: len(form.fn._index) for key, form in builtin_cocycle(6).components.items()}
+    assert counts == {(1, 5): 15, (2, 4): 48, (3, 3): 6}
+
+
+@pytest.mark.parametrize("p", [2, 3, 4], ids=lambda p: f"p={p}")
+def test_pfaffian_contraction_symmetric_in_factors(p):
+    # the matching sum does not depend on the order of its factors, which is
+    # what lets a word sum merge its rows; the error is measured against the
+    # sum of the (2p)! |terms|
+    rng = np.random.default_rng(90 + p)
+    n = 2 * p
+    mats = [rng.standard_normal((3, n, n)) for _ in range(p)]
+    table, _ = perm_table(n)
+    terms = np.ones((3, len(table)))
+    for i, m in enumerate(mats):
+        terms = terms * m[:, table[:, 2 * i], table[:, 2 * i + 1]]
+    scale = np.abs(terms).sum(axis=-1)
+    base = pfaffian_contraction(mats)
+    for order in itertools.permutations(range(p)):
+        moved = pfaffian_contraction([mats[i] for i in order])
+        assert np.all(np.abs(moved - base) <= 1e-14 * scale)
 
 
 # ---------------------------------------------------------------------------
@@ -284,6 +346,41 @@ def test_d_of_constant_vanishes(rng):
     d = exterior_derivative(const)
     p = nerve_point([sample_haar(4, rng)])
     assert abs(d.fn(p, (random_frame(1, 4, rng),))) < 1e-10
+
+
+def _per_move_derivative(omega, p, frames, step=EXTERIOR_STEP):
+    """Cartan's formula with one ``move_point`` per stencil time."""
+    s = omega.degree
+    total = 0.0
+    for i in range(s + 1):
+        rest = frames[:i] + frames[i + 1 :]
+        values = [omega.fn(move_point(p, frames[i], t), rest)
+                  for t in (step, -step, 0.5 * step, -0.5 * step)]
+        term = _directional(values, step)
+        total += term if i % 2 == 0 else -term
+    for i in range(s + 1):
+        for j in range(i + 1, s + 1):
+            merged = (frame_bracket(frames[i], frames[j]),) + tuple(
+                frames[k] for k in range(s + 1) if k != i and k != j
+            )
+            term = omega.fn(p, merged)
+            total += -term if (i + j) % 2 else term
+    return total
+
+
+@pytest.mark.parametrize("case", ["E_2,4", "rmc(1)"])
+def test_stencil_matches_per_move_reference(case, rng):
+    # one exp_alg call on the whole stencil gives the bits of one move_point
+    # per stencil time, on a scalar word sum and on a matrix-valued form
+    if case == "E_2,4":
+        omega, n = builtin_cocycle(6).components[(2, 4)], 6
+    else:
+        omega, n = FormEvaluator(1, 1, lambda p, v: generator_value(rmc(1), p, v[0])), 4
+    for _ in range(2):
+        p = nerve_point([sample_haar(n, rng) for _ in range(omega.level)])
+        frames = tuple(random_frame(omega.level, n, rng) for _ in range(omega.degree + 1))
+        got = exterior_derivative(omega).fn(p, frames)
+        assert np.array_equal(got, _per_move_derivative(omega, p, frames))
 
 
 def test_maurer_cartan_left(rng):

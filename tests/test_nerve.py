@@ -119,6 +119,23 @@ def test_d_prime_squared_one_forms(rng):
         assert abs(dd.fn(p, frames)) < 1e-9
 
 
+@pytest.mark.parametrize("key", [(1, 5), (2, 4)], ids=lambda key: "E_%d,%d" % key)
+def test_d_prime_on_stacked_points(key, rng):
+    # points and frames may hold stacks (see matgroup): d' of an SO(6)
+    # component on a stack equals its per-point calls bit for bit
+    omega = builtin_cocycle(6).components[key]
+    dp = d_prime(omega)
+    points = [nerve_point([sample_haar(6, rng) for _ in range(dp.level)]) for _ in range(3)]
+    frames = [tuple(random_frame(dp.level, 6, rng) for _ in range(dp.degree)) for _ in range(3)]
+    stacked = dp.fn(
+        nerve_point([np.stack(c) for c in zip(*(p.components for p in points))]),
+        tuple(tangent_frame([np.stack(c) for c in zip(*(f[j].components for f in frames))])
+              for j in range(dp.degree)),
+    )
+    assert stacked.shape == (3,)
+    assert list(stacked) == [dp.fn(p, f) for p, f in zip(points, frames)]
+
+
 def test_d_second_sign():
     # even level: d'' = +d; odd level: d'' = -d
     calls = []

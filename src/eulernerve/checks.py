@@ -372,8 +372,8 @@ def face_pushforward_fd(args, rng):
         point = _haar_point(2, n, rng)
         frame = random_frame(2, n, rng)
         exact = face_pushforward(1, 2, point, frame)
-        fp = face_point(1, 2, move_point(point, frame, step))
-        fm = face_point(1, 2, move_point(point, frame, -step))
+        [moved] = move_point(point, (frame,), (step, -step))
+        fp, fm = (face_point(1, 2, q) for q in moved)
         base = face_point(1, 2, point)
         fd = trivialized_difference(
             base.components[0], fp.components[0], fm.components[0], step
@@ -428,8 +428,8 @@ def bundle_projection_pullback(args, rng):
             point = bundle_projection(gs)
             frame = bundle_projection_pushforward(gs, xis)
             base, flow = nerve_point(gs), tangent_frame(xis)
-            moved_p = bundle_projection(move_point(base, flow, step).components)
-            moved_m = bundle_projection(move_point(base, flow, -step).components)
+            [moved] = move_point(base, (flow,), (step, -step))
+            moved_p, moved_m = (bundle_projection(q.components) for q in moved)
             for m in range(q):
                 fd = trivialized_difference(
                     point.components[m], moved_p.components[m], moved_m.components[m], step

@@ -102,18 +102,20 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="subcommand")
 
-    def common(p, samples=None, tol=1e-5):
-        # a suite that reads no sample count gets no --samples
+    def common(p, samples=None, tol=None):
+        # a suite that reads no sample count gets no --samples, and one
+        # whose checks all fix their own tolerances gets no --tol
         if samples is not None:
             p.add_argument("--samples", type=_positive(int), default=samples)
         p.add_argument("--seed", type=int, default=None,
                        help="RNG seed (default: env NERVE_EULER_SEED or 0)")
-        p.add_argument("--tol", type=_positive(float), default=tol)
+        if tol is not None:
+            p.add_argument("--tol", type=_positive(float), default=tol)
         p.add_argument("--out", type=str, default=None, help="JSON report path")
 
     p = sub.add_parser("verify-euler", help="total-cocycle residuals of the built-in cochains")
     p.add_argument("--n", type=int, choices=(2, 4, 6), default=4)
-    common(p, samples=20)
+    common(p, samples=20, tol=1e-5)
 
     p = sub.add_parser("verify-generator",
                        help="generated components against the built-in transcriptions")
@@ -143,7 +145,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("structure-tests",
                        help="structure equations, d o d, simplicial identities")
     p.add_argument("--n", type=int, choices=(2, 4, 6), default=4)
-    common(p, samples=5, tol=1e-5)
+    common(p, samples=5)
 
     return parser
 

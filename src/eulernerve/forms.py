@@ -25,8 +25,8 @@ Conventions, used consistently across the package:
   the terms of tau and of tau followed by a swap inside one pair cancel into
   one skew pair value, so p = 3 multiplies out 90 terms instead of 720;
 * the exterior derivative is Cartan's formula with a central-difference
-  stencil along left-invariant flows, whose 4(s+1) moved points take their
-  exponentials in one ``exp_alg`` call.
+  stencil along left-invariant flows, whose 4(s+1) moved points come from
+  one ``move_point`` call.
 """
 
 from __future__ import annotations
@@ -39,13 +39,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .matgroup import (
-    NervePoint,
-    TangentFrame,
-    adjoint,
-    exp_alg,
-    frame_bracket,
-)
+from .matgroup import NervePoint, TangentFrame, adjoint, frame_bracket, move_point
 
 # ---------------------------------------------------------------------------
 # matrix-valued 1-form generators
@@ -422,43 +416,20 @@ def _directional(values: Sequence[float], step: float) -> float:
     return (4.0 * d2 - d1) / 3.0
 
 
-def _stencil_points(
-    p: NervePoint, frames: Sequence[TangentFrame], step: float
-) -> list[list[NervePoint]]:
-    """moved[i][k]: p flowed along frames[i] for the k-th stencil time.
-
-    Every exponential of the stencil is one ``exp_alg`` call on the stack of
-    times x frame components (broadcast to a common batch shape), which maps
-    a stack matrix by matrix, so each moved point is bit-identical to its
-    own ``move_point``.
-    """
-    times = np.array([step, -step, 0.5 * step, -0.5 * step])
-    xis = np.stack(np.broadcast_arrays(*(c for v in frames for c in v.components)))
-    steps = exp_alg(np.multiply.outer(times, xis))
-    steps = steps.reshape((len(times), len(frames), p.level) + steps.shape[2:])
-    return [
-        [
-            NervePoint(n=p.n, components=tuple(h @ e for h, e in zip(p.components, steps[k, i])))
-            for k in range(len(times))
-        ]
-        for i in range(len(frames))
-    ]
-
-
 def exterior_derivative(omega: FormEvaluator, step: float = EXTERIOR_STEP) -> FormEvaluator:
     """d omega via Cartan's formula.
 
     The frames are extended to left-invariant fields, so the derivative terms
     are directional derivatives along (h_k exp(t xi_k)) flows and the bracket
     terms use the componentwise algebra bracket.  The 4(s+1) moved points of
-    the derivative terms take their exponentials in one call (see
-    ``_stencil_points``); omega is then evaluated on each moved point.
+    the derivative terms come from one ``move_point`` call, at the stencil
+    times of ``_directional``; omega is then evaluated on each moved point.
     """
 
     s = omega.degree
 
     def fn(p: NervePoint, frames: Sequence[TangentFrame]) -> float:
-        moved = _stencil_points(p, frames, step)
+        moved = move_point(p, frames, (step, -step, 0.5 * step, -0.5 * step))
         total = 0.0
         for i in range(s + 1):
             rest = frames[:i] + frames[i + 1 :]

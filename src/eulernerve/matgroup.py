@@ -10,13 +10,13 @@ at (h_1, ..., h_r) is (h_1 xi_1, ..., h_r xi_r).
 by matrix, bit-identically to the call on that matrix alone.  Points and
 frames may hold such stacks: their broadcast leading axes index a batch.
 
-For n = 4, ``exp_alg`` and ``log_grp`` use the closed forms of
-so(4) = su(2) + su(2) (Iserles, Munthe-Kaas, Norsett & Zanna, Acta Numerica 9,
-2000): R^4 is the quaternions, every rotation is q -> a q b for unit
-quaternions a and b, and exp and log reduce to one Rodrigues factor and one
-``atan2`` angle per side.  Other n go through eigendecompositions: exp
-through the Hermitian matrix -i xi (Gallier & Xu, Int. J. Robotics and
-Automation 17, 2002), log through eig.
+For n = 4, ``exp_alg`` uses the closed form of so(4) = su(2) + su(2)
+(Iserles, Munthe-Kaas, Norsett & Zanna, Acta Numerica 9, 2000): R^4 is the
+quaternions, every rotation is q -> a q b for unit quaternions a and b, and
+exp reduces to one Rodrigues factor per side.  Other n go through the
+eigendecomposition of the Hermitian matrix -i xi (Gallier & Xu, Int. J.
+Robotics and Automation 17, 2002).  ``log_grp`` goes through eig for every
+n; the SO(4) cone takes its powers on quaternion pairs and needs no log.
 
 SO(4) also has a representation of its own here: a stack of B rotations as
 unit-quaternion pairs (4, 2, B), q[:, 0] = a and q[:, 1] = b, with the batch
@@ -96,15 +96,12 @@ def log_grp(g: np.ndarray) -> np.ndarray:
 
     Requires every rotation angle, of every matrix in a stack, to stay at
     least ``LOG_ANGLE_MARGIN`` away from pi; otherwise the principal branch is
-    ill-conditioned and a DomainError is raised.  n = 4: two ``atan2`` angles
-    of the quaternion pair g = L_a R_b (see ``_log_so4``).  Other n: through
-    the eigendecomposition g = V diag(lambda) V^{-1}.  V is inverted, not
+    ill-conditioned and a DomainError is raised.  Computed through the
+    eigendecomposition g = V diag(lambda) V^{-1}.  V is inverted, not
     conjugate-transposed: eig returns no orthonormal basis of the eigenspace
     of a repeated angle.
     """
     g = np.asarray(g, dtype=float)
-    if g.shape[-1] == 4:
-        return _log_so4(g.reshape(-1, 4, 4)).reshape(g.shape)
     lam, vec = np.linalg.eig(g)
     _check_log_domain(np.abs(np.angle(lam)))
     w = np.log(lam)
@@ -185,22 +182,6 @@ def _exp_so4(x: np.ndarray) -> np.ndarray:
     q[0] = np.cos(angle)
     q[1:] = _ratio(np.sin(angle), angle) * w
     return so4_matrices(q)
-
-
-def _log_so4(g: np.ndarray) -> np.ndarray:
-    """Principal log of a (B, 4, 4) stack of rotations g = L_a R_b.
-
-    With alpha and beta the angles of the pair (a, b) (see ``_principal``),
-    log g = (alpha / sin alpha) L_{vec a} + (beta / sin beta) R_{vec b}, with
-    sin alpha read as |vec a|.  The result is exactly skew: L_{vec a} and
-    R_{vec b} have a zero diagonal and opposite signs at (i, j) and (j, i).
-    """
-    q = so4_pairs(g)
-    sin, angle = _principal(q)
-    q[0] = 0.0
-    q[1:] *= _ratio(angle, sin)
-    t = _SIGNS[..., None] * q[_XOR]
-    return np.ascontiguousarray((t[:, :, 0] + t[:, :, 1]).transpose(2, 0, 1))
 
 
 def so4_pairs(g: np.ndarray) -> np.ndarray:
@@ -383,16 +364,29 @@ def tangent_frame(components: Sequence[np.ndarray], n: int | None = None) -> Tan
     return TangentFrame(n=n, components=comps)
 
 
-def move_point(p: NervePoint, v: TangentFrame, t: float) -> NervePoint:
-    """Flow p along the left-invariant extension of v for time t.
+def move_point(
+    p: NervePoint, frames: Sequence[TangentFrame], times: Sequence[float]
+) -> list[list[NervePoint]]:
+    """moved[i][k]: p flowed along the left-invariant extension of frames[i]
+    for times[k]; [] when there are no frames.
 
-    The components' exponentials are one ``exp_alg`` call on their stack
-    (broadcast to a common batch shape), bit-identical to one call each.
+    Every exponential is one ``exp_alg`` call on the stack of times x frame
+    components (broadcast to a common batch shape), which maps a stack
+    matrix by matrix, so each moved component is bit-identical to its own
+    h @ exp_alg(t * xi).
     """
-    if not v.components:
-        return p
-    steps = exp_alg(t * np.stack(np.broadcast_arrays(*v.components)))
-    return NervePoint(n=p.n, components=tuple(h @ e for h, e in zip(p.components, steps)))
+    if not frames:
+        return []
+    xis = np.stack(np.broadcast_arrays(*(c for v in frames for c in v.components)))
+    steps = exp_alg(np.multiply.outer(np.asarray(times, dtype=float), xis))
+    steps = steps.reshape((len(times), len(frames), p.level) + steps.shape[2:])
+    return [
+        [
+            NervePoint(n=p.n, components=tuple(h @ e for h, e in zip(p.components, steps[k, i])))
+            for k in range(len(times))
+        ]
+        for i in range(len(frames))
+    ]
 
 
 def frame_bracket(v: TangentFrame, w: TangentFrame) -> TangentFrame:

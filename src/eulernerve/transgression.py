@@ -10,11 +10,15 @@ to fiber-integrate the Euler components mu_m into forms
 
     beta_{m,q} = (-1)^m  int_{Delta^q} f_{m,q}^* mu_m
 
-on U^{m+q-1}.  For p = 2 the sums eta_0 = beta_{2,2} + beta_{1,3} (functions
-on U^3) and eta_1 = beta_{2,1} + beta_{1,2} (1-forms on U^2) form a cocycle of
+on U^{m+q-1}.  For p = 2, eta_0 = beta_{2,2} + beta_{1,3} (a function on
+U^3) and eta_1 = beta_{2,1} + beta_{1,2} (a 1-form on U^2) form a cocycle of
 the total complex truncated to form degrees < 2: the two surviving
 components of its total differential, d' eta_0 and d' eta_1 + d'' eta_0,
 vanish (``checks.truncated_cocycle`` samples them).
+
+beta_{2,2} is identically zero, so eta_0 = beta_{1,3}: f_{2,2} passes slot 1
+through, so both simplex directions have a zero slot-1 tangent, and every
+word of mu_2 = E_{2,2} has a factor lmc(1), which reads that tangent.
 
 Fiber integration slots the simplex directions first:
 (int_{Delta^q} alpha)(X_1, ..., X_s) = int alpha(dt_1, ..., dt_q, X_1, ...).
@@ -34,6 +38,7 @@ from .matgroup import (
     TangentFrame,
     exp_alg,
     log_grp,
+    move_point,
     nerve_point,
     pair_power,
     pair_product,
@@ -149,12 +154,14 @@ def transgression_form(
 ) -> FormEvaluator:
     """beta_{m,q} = (-1)^m int_{Delta^q} f_{m,q}^* mu on U^{m+q-1}.
 
-    Simplex-direction and U-direction tangents of the level map are pushed
-    through sigma by central finite differences of step ``FD_STEP`` and
-    left-trivialized.  One evaluation makes one ``_contract`` call: its rows
-    are the quadrature nodes, then the nodes shifted by +-FD_STEP along each
-    simplex direction, then the nodes again for the point pushed by
-    +-FD_STEP along each frame, and a row -> argument index picks, per row,
+    The first m-1 slots pass through the level map, so their tangents are
+    exact: zero along a simplex direction and the frame's own components
+    along a frame.  The contracted slot's tangent is pushed through sigma by
+    central finite differences of step ``FD_STEP`` and left-trivialized.
+    One evaluation makes one ``_contract`` call: its rows are the quadrature
+    nodes, then the nodes shifted by +-FD_STEP along each simplex direction,
+    then the nodes again for the point pushed by +-FD_STEP along each frame
+    (one ``move_point`` call), and a row -> argument index picks, per row,
     the point or its push.  For n = 4 the cone stays in quaternion pairs, and
     4 x 4 matrices are formed one direction at a time for the differences.
     mu, a word sum, is evaluated once on all nodes; ``ordered_sum`` adds the
@@ -189,15 +196,12 @@ def transgression_form(
             raise ValueError(f"expected {level} group arguments, got {p.level}")
         hs = np.stack(p.components)
         kept = hs[: m - 1]
-        # tangents of the passed-through slots, the same at every node
-        pushed = [np.zeros_like(kept)] * q
+        # tangents of the passed-through slots, the same at every node: zero
+        # along a simplex direction, the frame's own components along a frame
+        passed = [np.zeros_like(kept)] * q + [v.components[: m - 1] for v in frames]
         contracted = [hs[m - 1 :]]
-        for v in frames:
-            xi = np.stack(v.components)
-            hp = hs @ exp_alg(FD_STEP * xi)
-            hm = hs @ exp_alg(-FD_STEP * xi)
-            pushed.append(trivialized_difference(kept, hp[: m - 1], hm[: m - 1], FD_STEP))
-            contracted += [hp[m - 1 :], hm[m - 1 :]]
+        for moved in move_point(p, frames, (FD_STEP, -FD_STEP)):
+            contracted += [np.stack(x.components[m - 1 :]) for x in moved]
         group = _group(p.n)
         cone = _contract(times, np.stack(contracted), rows)
 
@@ -210,7 +214,7 @@ def transgression_form(
         tangents = tuple(
             tangent_frame([*still, trivialized_difference(base, block(2 * k + 1),
                                                           block(2 * k + 2), FD_STEP)])
-            for k, still in enumerate(pushed)
+            for k, still in enumerate(passed)
         )
         del cone  # free the cone's values before mu runs
         values = mu.fn(nerve_point([*kept, base]), tangents)
@@ -228,11 +232,12 @@ class LocalCochain:
 
 
 def local_cochain(*, quad_order: int = 8) -> LocalCochain:
+    """eta_0 = beta_{1,3} (beta_{2,2} vanishes, see the module docstring) and
+    eta_1 = beta_{2,1} + beta_{1,2}."""
     comps = builtin_cocycle(4).components
     mu1 = comps[(1, 3)]
     mu2 = comps[(2, 2)]
-    beta22 = transgression_form(mu2, 2, 2, quad_order=quad_order)
     beta13 = transgression_form(mu1, 1, 3, quad_order=quad_order)
     beta21 = transgression_form(mu2, 2, 1, quad_order=quad_order)
     beta12 = transgression_form(mu1, 1, 2, quad_order=quad_order)
-    return LocalCochain(eta0=add_forms(beta22, beta13), eta1=add_forms(beta21, beta12))
+    return LocalCochain(eta0=beta13, eta1=add_forms(beta21, beta12))

@@ -17,6 +17,7 @@ TRANSGRESS = ["transgress", "--samples", "1", "--quad-order", "2", "--seed", "3"
 # arguments outside what a suite accepts, and the option the message names
 BAD_ARGUMENTS = [
     (["structure-tests", "--workers", "2"], "--workers"),
+    (["structure-tests", "--tol", "1e-5"], "--tol"),
     (["verify-generator", "--p", "4"], "--p"),
     (["euler-number", "--steps", "10"], "--steps"),
     (["pfaffian", "--samples", "3"], "--samples"),

@@ -75,7 +75,8 @@ def test_log_domain_error_near_pi():
 
 
 # ---------------------------------------------------------------------------
-# n = 4: the quaternion closed forms against scipy's expm and an eig log
+# n = 4: the quaternion closed-form exp against scipy's expm, and log_grp
+# on the same draws
 
 NORMS = (1e-8, 1e-4, 0.05, 0.3, 1.0, 2.0, 3.0, np.pi - 1e-3)
 
@@ -330,21 +331,25 @@ def test_eig_path_stacks_equal_per_matrix_calls(n):
 
 @pytest.mark.parametrize("n", [2, 4, 6])
 def test_move_point_equals_per_component_flow(n):
-    # one exp_alg call on the stacked components gives each component's bits
+    # one exp_alg call on all times x frames gives each component's bits
     rng = np.random.default_rng(8)
-    for t in (1e-5, -1e-5, 0.7):
-        p = nerve_point([sample_haar(n, rng) for _ in range(3)])
-        v = random_frame(3, n, rng)
-        moved = move_point(p, v, t).components
-        for h, xi, m in zip(p.components, v.components, moved):
-            assert np.array_equal(m, h @ exp_alg(t * xi))
+    times = (1e-5, -1e-5, 0.7)
+    p = nerve_point([sample_haar(n, rng) for _ in range(3)])
+    frames = [random_frame(3, n, rng) for _ in range(2)]
+    moved = move_point(p, frames, times)
+    assert [len(row) for row in moved] == [len(times)] * len(frames)
+    for v, row in zip(frames, moved):
+        for t, q in zip(times, row):
+            for h, xi, m in zip(p.components, v.components, q.components):
+                assert np.array_equal(m, h @ exp_alg(t * xi))
+    assert move_point(p, [], times) == []
     # stacked points broadcast against one-matrix frame components
     hs = np.stack([sample_haar(n, rng) for _ in range(4)])
     v = random_frame(2, n, rng)
-    moved = move_point(nerve_point([hs, hs[::-1]]), v, 0.3).components
+    [[q]] = move_point(nerve_point([hs, hs[::-1]]), [v], (0.3,))
     for k in range(4):
-        assert np.array_equal(moved[0][k], hs[k] @ exp_alg(0.3 * v.components[0]))
-        assert np.array_equal(moved[1][k], hs[3 - k] @ exp_alg(0.3 * v.components[1]))
+        assert np.array_equal(q.components[0][k], hs[k] @ exp_alg(0.3 * v.components[0]))
+        assert np.array_equal(q.components[1][k], hs[3 - k] @ exp_alg(0.3 * v.components[1]))
 
 
 # ---------------------------------------------------------------------------

@@ -220,17 +220,16 @@ def test_beta_vanishes_on_identity_inputs(rng):
 
 
 def per_node_transgression_form(mu, m, q, quad_order, fd_step=1e-4):
-    """Reference: the level map and its central differences, node by node,
-    on ``level_map_reference``, so no library contraction is involved."""
+    """Reference: the level map and the central difference of its contracted
+    slot, node by node, on ``level_map_reference``, so no library contraction
+    is involved.  The passed-through slots take their exact tangents: zero
+    along a simplex direction, the frame's own components along a frame."""
     rule = quadrature_rule(q, quad_order)
     sign = -1.0 if m % 2 else 1.0
 
-    def fd(base, plus, minus):
-        comps = [
-            skew_project(b.T @ ((pl - mi) / (2.0 * fd_step)))
-            for b, pl, mi in zip(base.components, plus.components, minus.components)
-        ]
-        return tangent_frame(comps, n=base.n)
+    def fd(still, base, plus, minus):
+        b, pl, mi = (x.components[-1] for x in (base, plus, minus))
+        return tangent_frame([*still, skew_project(b.T @ ((pl - mi) / (2.0 * fd_step)))])
 
     def f(t, hs):
         return level_map_reference(m, q, t, hs)
@@ -248,15 +247,11 @@ def per_node_transgression_form(mu, m, q, quad_order, fd_step=1e-4):
                 tp[0] -= fd_step
                 tm[a] -= fd_step
                 tm[0] += fd_step
-                tangents.append(
-                    fd(base, f(tp, hs), f(tm, hs))
-                )
+                tangents.append(fd([np.zeros((4, 4))] * (m - 1), base, f(tp, hs), f(tm, hs)))
             for v in frames:
                 hp = [hh @ exp_alg(fd_step * xi) for hh, xi in zip(hs, v.components)]
                 hm = [hh @ exp_alg(-fd_step * xi) for hh, xi in zip(hs, v.components)]
-                tangents.append(
-                    fd(base, f(node, hp), f(node, hm))
-                )
+                tangents.append(fd(v.components[: m - 1], base, f(node, hp), f(node, hm)))
             total += weight * mu.fn(base, tuple(tangents))
         return sign * total
 
@@ -275,6 +270,30 @@ def test_batched_form_equals_per_node_reference(m, q):
         p = nerve_point([near(rng, 0.3) for _ in range(m + q - 1)])
         frames = tuple(random_frame(m + q - 1, 4, rng) for _ in range(batched.degree))
         assert batched.fn(p, frames) == reference(p, frames)
+
+
+@pytest.mark.parametrize("radius", [0.1, 0.5, 1.0, 2.0])
+def test_beta22_is_exactly_zero(radius):
+    # f_{2,2} passes slot 1 through, so both simplex tangents have a zero
+    # slot-1 component, and every word of E_{2,2} has a factor lmc(1)
+    rng = np.random.default_rng(int(10 * radius))
+    beta22 = transgression_form(builtin_cocycle(4).components[(2, 2)], 2, 2)
+    for _ in range(3):
+        assert beta22.fn(nerve_point([near(rng, radius) for _ in range(3)]), ()) == 0.0
+
+
+def test_eta0_is_beta13_bit_for_bit():
+    # dropping the zero beta_{2,2} from eta_0 moves no bit
+    rng = np.random.default_rng(13)
+    mu = builtin_cocycle(4).components
+    beta13 = transgression_form(mu[(1, 3)], 1, 3)
+    beta22 = transgression_form(mu[(2, 2)], 2, 2)
+    eta0 = local_cochain().eta0
+    for radius in (0.1, 0.5, 1.0):
+        p = nerve_point([near(rng, radius) for _ in range(3)])
+        value = eta0.fn(p, ())
+        assert value == beta13.fn(p, ())
+        assert value == add_forms(beta22, beta13).fn(p, ())
 
 
 def test_beta_quadrature_order_doubling(rng):

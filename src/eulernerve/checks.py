@@ -23,7 +23,7 @@ An entry hands a ``Check`` the list of its per-sample residuals, and the
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from itertools import product
 
 import numpy as np
@@ -104,9 +104,20 @@ def _max_abs_difference(xs, ys) -> float:
     return float(np.max([np.max(np.abs(a - b)) for a, b in zip(xs, ys)]))
 
 
+def _stacked(xs):
+    """One point (or frame) whose components stack those of ``xs``."""
+    return replace(xs[0], components=tuple(np.stack(c) for c in zip(*(x.components for x in xs))))
+
+
 def _matrix_form(gen):
-    """A generator as a matrix-valued 1-form on NG(1)."""
-    return FormEvaluator(1, 1, lambda p, v: generator_value(gen, p, v[0]))
+    """A generator as a matrix-valued 1-form on NG(1), broadcast to the
+    batch of its point and frame (lmc reads the frame alone)."""
+
+    def fn(p, v):
+        shape = np.broadcast_shapes(*(c.shape for c in (*p.components, *v[0].components)))
+        return np.broadcast_to(generator_value(gen, p, v[0]), shape)
+
+    return FormEvaluator(1, 1, fn)
 
 
 # ---------------------------------------------------------------------------
@@ -151,24 +162,26 @@ def total_cocycle(args, rng):
 
 def generator_vs_transcription(args, rng):
     """Per component, max |a - b| over the samples relative to max |b|: a
-    single sample's |b| can cancel to far below the component's size."""
+    single sample's |b| can cancel to far below the component's size.  The
+    samples are drawn one after another, then each path evaluates them all
+    in one stacked call."""
     checks = []
     for p in range(1, args.p_rank + 1):
         for q in range(p):
             n = 2 * p
-            key = (p - q, p + q)
+            level, degree = p - q, p + q
             gen = euler_component(p, q)
-            built = builtin_cocycle(n).components[key]
-            diffs, sizes = [], []
-            for _ in range(args.samples):
-                point = _haar_point(key[0], n, rng)
-                frames = tuple(random_frame(key[0], n, rng) for _ in range(key[1]))
-                a = gen.fn(point, frames)
-                b = built.fn(point, frames)
-                diffs.append(abs(a - b))
-                sizes.append(abs(b))
+            built = builtin_cocycle(n).components[(level, degree)]
+            draws = [(_haar_point(level, n, rng),
+                      [random_frame(level, n, rng) for _ in range(degree)])
+                     for _ in range(args.samples)]
+            point = _stacked([x for x, _ in draws])
+            frames = tuple(_stacked([v[j] for _, v in draws]) for j in range(degree))
+            a = gen.fn(point, frames)
+            b = built.fn(point, frames)
             checks.append(Check(f"generator vs transcription (p={p}, q={q})",
-                                np.max(diffs) / max(np.max(sizes), 1e-300), args.tol))
+                                np.max(np.abs(a - b)) / max(np.max(np.abs(b)), 1e-300),
+                                args.tol))
     return checks
 
 
@@ -373,11 +386,9 @@ def face_pushforward_fd(args, rng):
         frame = random_frame(2, n, rng)
         exact = face_pushforward(1, 2, point, frame)
         [moved] = move_point(point, (frame,), (step, -step))
-        fp, fm = (face_point(1, 2, q) for q in moved)
+        fp, fm = face_point(1, 2, moved).components[0]
         base = face_point(1, 2, point)
-        fd = trivialized_difference(
-            base.components[0], fp.components[0], fm.components[0], step
-        )
+        fd = trivialized_difference(base.components[0], fp, fm, step)
         residuals.append(float(np.max(np.abs(fd - exact.components[0]))))
     return [Check("face pushforward vs finite differences", residuals, 1e-8)]
 
@@ -387,7 +398,7 @@ def d_prime_squared(args, rng):
     n = args.n
     residuals = []
     m_fixed = random_skew(n, rng)
-    f0 = FormEvaluator(1, 0, lambda p, v: float(np.trace(m_fixed @ p.components[0])))
+    f0 = FormEvaluator(1, 0, lambda p, v: np.trace(m_fixed @ p.components[0], axis1=-2, axis2=-1))
     ddp = d_prime(d_prime(f0))
     for _ in range(args.samples):
         point = _haar_point(3, n, rng)
@@ -429,11 +440,9 @@ def bundle_projection_pullback(args, rng):
             frame = bundle_projection_pushforward(gs, xis)
             base, flow = nerve_point(gs), tangent_frame(xis)
             [moved] = move_point(base, (flow,), (step, -step))
-            moved_p, moved_m = (bundle_projection(q.components) for q in moved)
+            pushed = bundle_projection(moved.components)
             for m in range(q):
-                fd = trivialized_difference(
-                    point.components[m], moved_p.components[m], moved_m.components[m], step
-                )
+                fd = trivialized_difference(point.components[m], *pushed.components[m], step)
                 pushforwards.append(float(np.max(np.abs(fd - frame.components[m]))))
             for s in range(1, q + 1):
                 lhs = generator_value(phi(s), point, frame)

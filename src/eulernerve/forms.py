@@ -25,8 +25,9 @@ Conventions, used consistently across the package:
   the terms of tau and of tau followed by a swap inside one pair cancel into
   one skew pair value, so p = 3 multiplies out 90 terms instead of 720;
 * the exterior derivative is Cartan's formula with a central-difference
-  stencil along left-invariant flows, whose 4(s+1) moved points come from
-  one ``move_point`` call.
+  stencil along left-invariant flows: one ``move_point`` call stacks the four
+  stencil times of each of the s+1 directions, so d of a degree-s form makes
+  one form call per direction and one per bracket, (s+1) + C(s+1, 2) calls.
 """
 
 from __future__ import annotations
@@ -282,13 +283,23 @@ def shuffle_table(degrees: tuple[int, ...]) -> tuple[tuple[int, tuple[tuple[int,
 
 @dataclass(frozen=True)
 class FormEvaluator:
-    """A degree-s form on NG(r), evaluated on s left-trivialized frames."""
+    """A degree-s form on NG(r), evaluated on s left-trivialized frames.
+
+    Every form takes stacked points and frames (see matgroup): components
+    (..., n, n) whose leading axes broadcast to one batch shape.  The value
+    has that batch shape first, followed by the value's own shape (none for
+    a scalar form, (n, n) for a matrix-valued one), and each sample's value
+    equals the call on that sample alone, bit for bit.  A lone point and
+    frames give the value of one sample.
+    """
 
     level: int
     degree: int
-    fn: Callable[[NervePoint, Sequence[TangentFrame]], float]
+    fn: Callable[[NervePoint, Sequence[TangentFrame]], float | np.ndarray]
 
-    def __call__(self, p: NervePoint, frames: Sequence[TangentFrame] = ()) -> float:
+    def __call__(
+        self, p: NervePoint, frames: Sequence[TangentFrame] = ()
+    ) -> float | np.ndarray:
         if p.level != self.level:
             raise ValueError(f"point level {p.level} != form level {self.level}")
         if len(frames) != self.degree:
@@ -332,9 +343,9 @@ class WordSumEvaluator:
     and its skew pair values once, gathers the rows' pair values with one
     fancy index and contracts them over the perfect matchings, as
     pfaffian_contraction does.
-    Only word sums take stacked points and frames (see matgroup): the value is
-    an array of their batch shape, whose axes come first, so each sample is
-    contracted and summed by the BLAS calls of a lone call, bit for bit.
+    On stacked points and frames (see FormEvaluator) the table has the batch
+    axes first, so each sample is contracted and summed by the BLAS calls of
+    a lone call, bit for bit.
     """
 
     def __init__(self, level: int, n: int, words: Sequence[WordForm]):
@@ -408,9 +419,9 @@ def word_sum_form(level: int, n: int, words: Sequence[WordForm]) -> FormEvaluato
 EXTERIOR_STEP = 1e-4
 
 
-def _directional(values: Sequence[float], step: float) -> float:
+def _directional(values: np.ndarray, step: float) -> float | np.ndarray:
     """Central difference with one Richardson level, from the values at the
-    stencil times (step, -step, step/2, -step/2)."""
+    stencil times (step, -step, step/2, -step/2) on the leading axis."""
     d1 = (values[0] - values[1]) / (2.0 * step)
     d2 = (values[2] - values[3]) / step
     return (4.0 * d2 - d1) / 3.0
@@ -421,19 +432,21 @@ def exterior_derivative(omega: FormEvaluator, step: float = EXTERIOR_STEP) -> Fo
 
     The frames are extended to left-invariant fields, so the derivative terms
     are directional derivatives along (h_k exp(t xi_k)) flows and the bracket
-    terms use the componentwise algebra bracket.  The 4(s+1) moved points of
-    the derivative terms come from one ``move_point`` call, at the stencil
-    times of ``_directional``; omega is then evaluated on each moved point.
+    terms use the componentwise algebra bracket.  One ``move_point`` call
+    moves the point along every frame at the stencil times of
+    ``_directional``, stacked on a leading axis, so each derivative term is
+    one call of omega on its direction's stack.  The bracket terms are one
+    call each, on the point itself.
     """
 
     s = omega.degree
 
-    def fn(p: NervePoint, frames: Sequence[TangentFrame]) -> float:
+    def fn(p: NervePoint, frames: Sequence[TangentFrame]) -> float | np.ndarray:
         moved = move_point(p, frames, (step, -step, 0.5 * step, -0.5 * step))
         total = 0.0
         for i in range(s + 1):
             rest = frames[:i] + frames[i + 1 :]
-            term = _directional([omega.fn(q, rest) for q in moved[i]], step)
+            term = _directional(omega.fn(moved[i], rest), step)
             total += term if i % 2 == 0 else -term
         for i in range(s + 1):
             for j in range(i + 1, s + 1):

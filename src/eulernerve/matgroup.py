@@ -9,6 +9,9 @@ at (h_1, ..., h_r) is (h_1 xi_1, ..., h_r xi_r).
 ``adjoint`` take (n, n) matrices or stacks (..., n, n) and map a stack matrix
 by matrix, bit-identically to the call on that matrix alone.  Points and
 frames may hold such stacks: their broadcast leading axes index a batch.
+``move_point`` flows a point along each frame for several times at once and
+puts the times on a new axis in front of that batch, so a form evaluates a
+whole stencil direction in one call (see ``forms.FormEvaluator``).
 
 For n = 4, ``exp_alg`` uses the closed form of so(4) = su(2) + su(2)
 (Iserles, Munthe-Kaas, Norsett & Zanna, Acta Numerica 9, 2000): R^4 is the
@@ -366,26 +369,30 @@ def tangent_frame(components: Sequence[np.ndarray], n: int | None = None) -> Tan
 
 def move_point(
     p: NervePoint, frames: Sequence[TangentFrame], times: Sequence[float]
-) -> list[list[NervePoint]]:
-    """moved[i][k]: p flowed along the left-invariant extension of frames[i]
-    for times[k]; [] when there are no frames.
+) -> list[NervePoint]:
+    """moved[i]: p flowed along the left-invariant extension of frames[i],
+    one stacked point per frame; [] when there are no frames.
 
+    Component j of moved[i] has shape (T, *batch, n, n): the T times go on a
+    new leading axis, in front of the broadcast batch of p and the frames, and
+    moved[i].components[j][k] is h_j @ exp_alg(times[k] * xi_j) for every
+    sample of the batch.  The times lead the whole batch, so a point stacked
+    as (T, n, n) is flowed for every time, not paired with them row by row.
     Every exponential is one ``exp_alg`` call on the stack of times x frame
-    components (broadcast to a common batch shape), which maps a stack
-    matrix by matrix, so each moved component is bit-identical to its own
-    h @ exp_alg(t * xi).
+    components, which maps a stack matrix by matrix, so each moved component
+    is bit-identical to its own h @ exp_alg(t * xi).
     """
     if not frames:
         return []
     xis = np.stack(np.broadcast_arrays(*(c for v in frames for c in v.components)))
+    batch = np.broadcast_shapes(*(h.shape for h in p.components), xis.shape[1:])[:-2]
     steps = exp_alg(np.multiply.outer(np.asarray(times, dtype=float), xis))
-    steps = steps.reshape((len(times), len(frames), p.level) + steps.shape[2:])
+    # pad the frames' batch axes to the full batch, behind the times
+    pad = (1,) * (len(batch) + 3 - xis.ndim)
+    steps = steps.reshape((len(times), len(frames), p.level) + pad + xis.shape[1:])
     return [
-        [
-            NervePoint(n=p.n, components=tuple(h @ e for h, e in zip(p.components, steps[k, i])))
-            for k in range(len(times))
-        ]
-        for i in range(len(frames))
+        NervePoint(n=p.n, components=tuple(h @ e for h, e in zip(p.components, row)))
+        for row in np.moveaxis(steps, 0, 2)
     ]
 
 

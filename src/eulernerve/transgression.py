@@ -26,7 +26,7 @@ Fiber integration slots the simplex directions first:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -158,7 +158,7 @@ def transgression_form(
     exact: zero along a simplex direction and the frame's own components
     along a frame.  The contracted slot's tangent is pushed through sigma by
     central finite differences of step ``FD_STEP`` and left-trivialized.
-    One evaluation makes one ``_contract`` call: its rows are the quadrature
+    Each sample makes one ``_contract`` call: its rows are the quadrature
     nodes, then the nodes shifted by +-FD_STEP along each simplex direction,
     then the nodes again for the point pushed by +-FD_STEP along each frame
     (one ``move_point`` call), and a row -> argument index picks, per row,
@@ -167,6 +167,11 @@ def transgression_form(
     mu, a word sum, is evaluated once on all nodes; ``ordered_sum`` adds the
     weighted values.  The result equals the node-by-node reference of
     ``test_batched_form_equals_per_node_reference`` bit for bit.
+
+    A stacked point and frames (see ``FormEvaluator``) are evaluated one
+    sample at a time, and each sample's cone and temporaries are freed before
+    the next: a cone over the whole batch would hold every sample's stencil
+    at once.
     """
     if mu.level != m:
         raise ValueError(f"mu has level {mu.level}, expected {m}")
@@ -191,19 +196,19 @@ def transgression_form(
     # along frame k
     rows = np.repeat(np.r_[[0] * (2 * q + 1), 1 + np.arange(2 * degree)], n_nodes)
 
-    def fn(p: NervePoint, frames: Sequence[TangentFrame]) -> float:
-        if p.level != level:
-            raise ValueError(f"expected {level} group arguments, got {p.level}")
+    def one(p: NervePoint, frames: Sequence[TangentFrame]) -> float:
         hs = np.stack(p.components)
         kept = hs[: m - 1]
         # tangents of the passed-through slots, the same at every node: zero
         # along a simplex direction, the frame's own components along a frame
         passed = [np.zeros_like(kept)] * q + [v.components[: m - 1] for v in frames]
-        contracted = [hs[m - 1 :]]
-        for moved in move_point(p, frames, (FD_STEP, -FD_STEP)):
-            contracted += [np.stack(x.components[m - 1 :]) for x in moved]
+        # the argument tuples: the point, then its pushes (+, -) along each frame
+        contracted = [hs[m - 1 :][None]] + [
+            np.stack(moved.components[m - 1 :], axis=1)
+            for moved in move_point(p, frames, (FD_STEP, -FD_STEP))
+        ]
         group = _group(p.n)
-        cone = _contract(times, np.stack(contracted), rows)
+        cone = _contract(times, np.concatenate(contracted), rows)
 
         def block(k: int) -> np.ndarray:
             return group.matrices(cone[group.at(slice(k * n_nodes, (k + 1) * n_nodes))])
@@ -219,6 +224,20 @@ def transgression_form(
         del cone  # free the cone's values before mu runs
         values = mu.fn(nerve_point([*kept, base]), tangents)
         return sign * ordered_sum(rule.weights * values)
+
+    def fn(p: NervePoint, frames: Sequence[TangentFrame]) -> float | np.ndarray:
+        if p.level != level:
+            raise ValueError(f"expected {level} group arguments, got {p.level}")
+        batch = np.broadcast_shapes(*(c.shape for v in (p, *frames) for c in v.components))[:-2]
+        if not batch:
+            return one(p, frames)
+
+        def at(v, idx):
+            return replace(v, components=tuple(
+                np.broadcast_to(c, batch + c.shape[-2:])[idx] for c in v.components))
+
+        values = [one(at(p, idx), [at(v, idx) for v in frames]) for idx in np.ndindex(batch)]
+        return np.reshape(values, batch)
 
     return FormEvaluator(level, degree, fn)
 

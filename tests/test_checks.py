@@ -17,7 +17,7 @@ import eulernerve
 from eulernerve import checks, euler
 from eulernerve.checks import SUITES
 from eulernerve.cli import build_parser
-from eulernerve.forms import scale_form
+from eulernerve.forms import WordSumEvaluator, scale_form
 from eulernerve.nerve import Cochain
 
 PFAFFIAN = (("pfaffian^2 = det (relative)", "conjugation invariance (relative)"),)
@@ -190,30 +190,30 @@ def test_generator_mutation_fails_by_seven_decades(case, monkeypatch):
     assert result.max_residual > 1e7 * result.tolerance
 
 
-def nan_on_call(key, call):
-    """euler_component whose component ``key`` returns NaN on its ``call``-th
-    evaluation."""
+def nan_on_sample(key, sample):
+    """euler_component whose component ``key`` returns NaN in the
+    ``sample``-th sample (from 1) of the batch it is called on."""
     build = euler.euler_component
 
     def component(p, q):
         form = build(p, q)
         if (p, q) != key:
             return form
-        calls = [0]
 
         def fn(point, frames):
-            calls[0] += 1
-            return np.nan if calls[0] == call else form.fn(point, frames)
+            values = np.array(form.fn(point, frames))
+            values[sample - 1] = np.nan
+            return values
 
         return dataclasses.replace(form, fn=fn)
 
     return component
 
 
-@pytest.mark.parametrize("call", [1, 2, 3])
-def test_nan_on_any_sample_fails(call, monkeypatch):
+@pytest.mark.parametrize("sample", [1, 2, 3])
+def test_nan_on_any_sample_fails(sample, monkeypatch):
     # the builtin max keeps its running value when the next one is NaN
-    monkeypatch.setattr(checks, "euler_component", nan_on_call((1, 0), call))
+    monkeypatch.setattr(checks, "euler_component", nan_on_sample((1, 0), sample))
     argv = ["verify-generator", "--p", "1", "--samples", "3"]
     result = run_entry(checks.generator_vs_transcription, argv, np.random.default_rng(0))
     check = result["generator vs transcription (p=1, q=0)"]
@@ -237,3 +237,29 @@ def test_check_with_a_nan_sample_fails(position):
     check = checks.Check("samples", samples, 1e-5)
     assert np.isnan(check.max_residual) and not check.passed
     assert check.to_json()["pass"] is False
+
+
+WORD_SUM_CALLS = [
+    (["verify-euler", "--n", "6", "--samples", "4"], 232),
+    (["verify-generator", "--p", "3", "--samples", "10"], 12),
+]
+
+
+@pytest.mark.parametrize("argv, calls", WORD_SUM_CALLS,
+                         ids=[argv_id(argv) for argv, _ in WORD_SUM_CALLS])
+def test_word_sum_calls_per_certificate(argv, calls, monkeypatch):
+    # the two cocycle-so6 benchmark certificates at seed 0: d'' makes one
+    # form call per stencil direction (58 word sums per verify-euler sample),
+    # and verify-generator one per path and component; per-point stencil or
+    # per-sample calls would make 412 and 120
+    count = [0]
+    call = WordSumEvaluator.__call__
+
+    def counted(self, p, frames):
+        count[0] += 1
+        return call(self, p, frames)
+
+    monkeypatch.setattr(WordSumEvaluator, "__call__", counted)
+    (entry,) = SUITES[argv[0]]
+    run_entry(entry, argv, np.random.default_rng(0))
+    assert count[0] == calls

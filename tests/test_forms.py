@@ -6,7 +6,7 @@ from hypothesis import given, strategies as st
 from scipy.linalg import expm
 from test_checks import run_entry
 
-from eulernerve.checks import maurer_cartan
+from eulernerve.checks import _matrix_form, _stacked, maurer_cartan
 from eulernerve.euler import builtin_cocycle, euler_component
 from eulernerve.forms import (
     EXTERIOR_STEP,
@@ -40,6 +40,8 @@ from eulernerve.matgroup import (
     sample_near_identity,
     tangent_frame,
 )
+from eulernerve.nerve import d_prime
+from eulernerve.transgression import transgression_form
 
 
 # ---------------------------------------------------------------------------
@@ -246,11 +248,6 @@ def _row_loop(ev, p, frames):
     return float(np.array(coeffs) @ pfaffian_contraction([mats[:, k] for k in range(ev.n // 2)]))
 
 
-def _stacked(objs, make):
-    """One point or frame whose components stack those of ``objs``."""
-    return make([np.stack(c) for c in zip(*(o.components for o in objs))])
-
-
 def _components(source):
     kind, size = source.split("-")
     if kind == "builtin":
@@ -297,8 +294,8 @@ def test_factor_table_matches_row_loop(source):
             draws.append((point, frames, value))
         points, frame_draws, values = zip(*draws)
         stacked = ev(
-            _stacked(points, nerve_point),
-            tuple(_stacked(fs, tangent_frame) for fs in zip(*frame_draws)),
+            _stacked(points),
+            tuple(_stacked(fs) for fs in zip(*frame_draws)),
         )
         assert stacked.shape == (2,)
         assert list(stacked) == list(values)
@@ -342,7 +339,8 @@ def test_pfaffian_contraction_symmetric_in_factors(p):
 
 
 def test_d_of_constant_vanishes(rng):
-    const = FormEvaluator(1, 0, lambda p, v: 3.25)
+    # the constant 3.25 on every sample of the batch
+    const = FormEvaluator(1, 0, lambda p, v: np.full(p.components[0].shape[:-2], 3.25))
     d = exterior_derivative(const)
     p = nerve_point([sample_haar(4, rng)])
     assert abs(d.fn(p, (random_frame(1, 4, rng),))) < 1e-10
@@ -416,3 +414,33 @@ def test_word_arity_mismatch(rng):
     p = nerve_point([sample_haar(4, rng), sample_haar(4, rng)])
     with pytest.raises(ValueError):
         word_sum_form(2, 4, [w])(p, (random_frame(2, 4, rng),))
+
+
+# ---------------------------------------------------------------------------
+# the batch contract: a stacked call equals its lone calls bit for bit
+
+SO4 = builtin_cocycle(4).components
+BATCH_FORMS = {
+    "word-sum E_2,4": lambda: builtin_cocycle(6).components[(2, 4)],
+    "matrix-form lmc(1)": lambda: _matrix_form(lmc(1)),
+    "beta_2,1": lambda: transgression_form(SO4[(2, 2)], 2, 1, quad_order=3),
+    "beta_1,3": lambda: transgression_form(SO4[(1, 3)], 1, 3, quad_order=3),
+    "d' E_1,3": lambda: d_prime(SO4[(1, 3)]),
+    "d E_1,3": lambda: exterior_derivative(SO4[(1, 3)]),
+    "d beta_1,3": lambda: exterior_derivative(transgression_form(SO4[(1, 3)], 1, 3, quad_order=3)),
+    "d o d rmc(1)": lambda: exterior_derivative(exterior_derivative(_matrix_form(rmc(1)))),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BATCH_FORMS))
+def test_stacked_call_equals_lone_calls(case):
+    form = BATCH_FORMS[case]()
+    n = 6 if case == "word-sum E_2,4" else 4
+    rng = np.random.default_rng(3)
+    points = [nerve_point([sample_near_identity(n, 0.3, rng) for _ in range(form.level)])
+              for _ in range(3)]
+    frames = [[random_frame(form.level, n, rng) for _ in range(form.degree)] for _ in range(3)]
+    stacked = form.fn(_stacked(points), tuple(_stacked(v) for v in zip(*frames)))
+    lone = np.stack([form.fn(p, tuple(v)) for p, v in zip(points, frames)])
+    assert stacked.shape == lone.shape
+    assert np.array_equal(stacked, lone)

@@ -20,6 +20,7 @@ from eulernerve.matgroup import (
     skew_project,
     so4_matrices,
     so4_pairs,
+    tangent_frame,
 )
 
 J = np.array([[0.0, -1.0], [1.0, 0.0]])
@@ -337,19 +338,39 @@ def test_move_point_equals_per_component_flow(n):
     p = nerve_point([sample_haar(n, rng) for _ in range(3)])
     frames = [random_frame(3, n, rng) for _ in range(2)]
     moved = move_point(p, frames, times)
-    assert [len(row) for row in moved] == [len(times)] * len(frames)
-    for v, row in zip(frames, moved):
-        for t, q in zip(times, row):
-            for h, xi, m in zip(p.components, v.components, q.components):
-                assert np.array_equal(m, h @ exp_alg(t * xi))
+    assert len(moved) == len(frames)
+    for v, q in zip(frames, moved):
+        for h, xi, m in zip(p.components, v.components, q.components):
+            assert m.shape == (len(times), n, n)
+            for t, mt in zip(times, m):
+                assert np.array_equal(mt, h @ exp_alg(t * xi))
     assert move_point(p, [], times) == []
     # stacked points broadcast against one-matrix frame components
     hs = np.stack([sample_haar(n, rng) for _ in range(4)])
     v = random_frame(2, n, rng)
-    [[q]] = move_point(nerve_point([hs, hs[::-1]]), [v], (0.3,))
+    [q] = move_point(nerve_point([hs, hs[::-1]]), [v], (0.3,))
+    assert q.components[0].shape == (1, 4, n, n)
     for k in range(4):
-        assert np.array_equal(q.components[0][k], hs[k] @ exp_alg(0.3 * v.components[0]))
-        assert np.array_equal(q.components[1][k], hs[3 - k] @ exp_alg(0.3 * v.components[1]))
+        assert np.array_equal(q.components[0][0, k], hs[k] @ exp_alg(0.3 * v.components[0]))
+        assert np.array_equal(q.components[1][0, k], hs[3 - k] @ exp_alg(0.3 * v.components[1]))
+
+
+@pytest.mark.parametrize("stacked_frame", [False, True], ids=["one-frame", "stacked-frame"])
+@pytest.mark.parametrize("n", [4, 6])
+def test_move_point_puts_the_times_in_front_of_the_batch(n, stacked_frame):
+    # a point stacked with as many rows as there are times (as the outer d of
+    # d o d hands the inner one): every time flows every row, and no time is
+    # paired with one row
+    rng = np.random.default_rng(9)
+    times = (1e-4, -1e-4, 5e-5, -5e-5)
+    hs = np.stack([sample_haar(n, rng) for _ in range(len(times))])
+    xi = np.stack([random_skew(n, rng) for _ in hs]) if stacked_frame else random_skew(n, rng)
+    [q] = move_point(nerve_point([hs]), [tangent_frame([xi])], times)
+    assert q.components[0].shape == (len(times), len(hs), n, n)
+    for k, t in enumerate(times):
+        for r, h in enumerate(hs):
+            step = exp_alg(t * (xi[r] if stacked_frame else xi))
+            assert np.array_equal(q.components[0][k, r], h @ step)
 
 
 # ---------------------------------------------------------------------------

@@ -138,13 +138,12 @@ def test_d_prime_on_stacked_points(key, rng):
 
 def test_d_second_sign():
     # even level: d'' = +d; odd level: d'' = -d
-    calls = []
 
     def fn(p, v):
-        return float(np.trace(p.components[0]))
+        return np.trace(p.components[0], axis1=-2, axis2=-1)
 
     f1 = FormEvaluator(1, 0, fn)
-    f2 = FormEvaluator(2, 0, lambda p, v: float(np.trace(p.components[0])))
+    f2 = FormEvaluator(2, 0, fn)
     rng = np.random.default_rng(0)
     p1 = nerve_point([sample_haar(4, rng)])
     v1 = (random_frame(1, 4, rng),)

@@ -23,7 +23,7 @@ An entry hands a ``Check`` the list of its per-sample residuals, and the
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from itertools import product
 
 import numpy as np
@@ -52,13 +52,14 @@ from .loopcocycle import (
 from .matgroup import (
     DomainError,
     adjoint,
+    iter_samples,
     move_point,
     nerve_point,
     random_frame,
     random_skew,
+    sample_blocks,
     sample_haar,
     sample_near_identity,
-    tangent_frame,
     trivialized_difference,
 )
 from .nerve import d_prime, d_second, face_point, face_pushforward, verify_total_cocycle
@@ -96,17 +97,8 @@ class Check:
         }
 
 
-def _haar_point(level, n, rng):
-    return nerve_point([sample_haar(n, rng) for _ in range(level)], n=n)
-
-
 def _max_abs_difference(xs, ys) -> float:
     return float(np.max([np.max(np.abs(a - b)) for a, b in zip(xs, ys)]))
-
-
-def _stacked(xs):
-    """One point (or frame) whose components stack those of ``xs``."""
-    return replace(xs[0], components=tuple(np.stack(c) for c in zip(*(x.components for x in xs))))
 
 
 def _matrix_form(gen):
@@ -162,9 +154,9 @@ def total_cocycle(args, rng):
 
 def generator_vs_transcription(args, rng):
     """Per component, max |a - b| over the samples relative to max |b|: a
-    single sample's |b| can cancel to far below the component's size.  The
-    samples are drawn one after another, then each path evaluates them all
-    in one stacked call."""
+    single sample's |b| can cancel to far below the component's size.  Each
+    component's samples are drawn at once (``sample_blocks``), and each path
+    evaluates them all in one stacked call."""
     checks = []
     for p in range(1, args.p_rank + 1):
         for q in range(p):
@@ -172,11 +164,7 @@ def generator_vs_transcription(args, rng):
             level, degree = p - q, p + q
             gen = euler_component(p, q)
             built = builtin_cocycle(n).components[(level, degree)]
-            draws = [(_haar_point(level, n, rng),
-                      [random_frame(level, n, rng) for _ in range(degree)])
-                     for _ in range(args.samples)]
-            point = _stacked([x for x, _ in draws])
-            frames = tuple(_stacked([v[j] for _, v in draws]) for j in range(degree))
+            [(point, frames)] = sample_blocks(n, [(level, degree)], args.samples, rng)
             a = gen.fn(point, frames)
             b = built.fn(point, frames)
             checks.append(Check(f"generator vs transcription (p={p}, q={q})",
@@ -321,10 +309,7 @@ def maurer_cartan(args, rng):
     d_left = exterior_derivative(_matrix_form(lmc(1)))
     d_right = exterior_derivative(_matrix_form(rmc(1)))
     left, right = [], []
-    for _ in range(args.samples):
-        point = _haar_point(1, n, rng)
-        xf = random_frame(1, n, rng)
-        yf = random_frame(1, n, rng)
+    for [(point, (xf, yf))] in iter_samples(n, [(1, 2)], args.samples, rng):
         cx = xf.components[0]
         cy = yf.components[0]
         comm = cx @ cy - cy @ cx
@@ -358,9 +343,7 @@ def simplicial_identities(args, rng):
     n = args.n
     points, pushforwards = [], []
     q = 3
-    for _ in range(args.samples):
-        point = _haar_point(q, n, rng)
-        frame = random_frame(q, n, rng)
+    for [(point, (frame,))] in iter_samples(n, [(q, 1)], args.samples, rng):
         for j in range(1, q + 1):
             for i in range(j):
                 p1 = face_point(i, q - 1, face_point(j, q, point))
@@ -381,9 +364,7 @@ def face_pushforward_fd(args, rng):
     n = args.n
     residuals = []
     step = FD_STEP
-    for _ in range(args.samples):
-        point = _haar_point(2, n, rng)
-        frame = random_frame(2, n, rng)
+    for [(point, (frame,))] in iter_samples(n, [(2, 1)], args.samples, rng):
         exact = face_pushforward(1, 2, point, frame)
         [moved] = move_point(point, (frame,), (step, -step))
         fp, fm = face_point(1, 2, moved).components[0]
@@ -400,13 +381,10 @@ def d_prime_squared(args, rng):
     m_fixed = random_skew(n, rng)
     f0 = FormEvaluator(1, 0, lambda p, v: np.trace(m_fixed @ p.components[0], axis1=-2, axis2=-1))
     ddp = d_prime(d_prime(f0))
-    for _ in range(args.samples):
-        point = _haar_point(3, n, rng)
+    for [(point, ())] in iter_samples(n, [(3, 0)], args.samples, rng):
         residuals.append(abs(ddp.fn(point, ())))
     ddp1 = d_prime(d_prime(_matrix_form(rmc(1))))
-    for _ in range(args.samples):
-        point = _haar_point(3, n, rng)
-        frame = (random_frame(3, n, rng),)
+    for [(point, frame)] in iter_samples(n, [(3, 1)], args.samples, rng):
         residuals.append(abs(ddp1.fn(point, frame)[0, 1]))
     return [Check("d' o d'", residuals, 1e-9)]
 
@@ -418,9 +396,7 @@ def anticommutation(args, rng):
     anti = d_second(d_prime(omega1))
     comm = d_prime(d_second(omega1))
     residuals = []
-    for _ in range(args.samples):
-        point = _haar_point(2, n, rng)
-        frames = tuple(random_frame(2, n, rng) for _ in range(2))
+    for [(point, frames)] in iter_samples(n, [(2, 2)], args.samples, rng):
         residuals.append(abs(anti.fn(point, frames)[0, 1] + comm.fn(point, frames)[0, 1]))
     return [Check("d' d'' + d'' d'", residuals, 1e-5)]
 
@@ -432,13 +408,13 @@ def bundle_projection_pullback(args, rng):
     n = args.n
     pullbacks, pushforwards = [], []
     step = FD_STEP
-    for _ in range(args.samples):
-        for q in (1, 2, 3):
-            gs = [sample_haar(n, rng) for _ in range(q + 1)]
-            xis = [random_skew(n, rng) for _ in range(q + 1)]
+    # per sample and q, the group elements g_0..g_q and one algebra element each
+    blocks = [(q + 1, 1) for q in (1, 2, 3)]
+    for draws in iter_samples(n, blocks, args.samples, rng):
+        for q, (base, (flow,)) in zip((1, 2, 3), draws):
+            gs, xis = base.components, flow.components
             point = bundle_projection(gs)
             frame = bundle_projection_pushforward(gs, xis)
-            base, flow = nerve_point(gs), tangent_frame(xis)
             [moved] = move_point(base, (flow,), (step, -step))
             pushed = bundle_projection(moved.components)
             for m in range(q):

@@ -37,6 +37,7 @@ import json
 import math
 import time
 from dataclasses import dataclass, field
+from functools import cache
 
 import numpy as np
 
@@ -94,7 +95,10 @@ def _int_at_least(low):
     return parse
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of every suite, built once per process: parsing leaves it
+    as it was, so ``main`` can run any number of times."""
     parser = argparse.ArgumentParser(
         prog="eulernerve",
         description="Numerical verification suites for the Euler cochains on the nerve of SO(2p).",

@@ -31,7 +31,7 @@ from .euler import builtin_cocycle
 from .matgroup import (
     exp_alg,
     nerve_point,
-    random_skew,
+    skew_from_gaussian,
     skew_project,
     tangent_frame,
     trivialized_difference,
@@ -98,11 +98,10 @@ def loop_element(c0, cos_coeffs=(), sin_coeffs=()) -> LoopElement:
 def random_loop(
     n: int, max_freq: int, rng: np.random.Generator, norm: float = 1.0
 ) -> LoopElement:
-    return LoopElement(
-        random_skew(n, rng, norm=norm),
-        tuple(random_skew(n, rng, norm=norm) for _ in range(max_freq)),
-        tuple(random_skew(n, rng, norm=norm) for _ in range(max_freq)),
-    )
+    """c0, then the cos and then the sin coefficients, each of spectral norm
+    ``norm``, from one Gaussian draw."""
+    c = skew_from_gaussian(rng.standard_normal((2 * max_freq + 1, n, n)), norm)
+    return LoopElement(c[0], tuple(c[1 : max_freq + 1]), tuple(c[max_freq + 1 :]))
 
 
 def _terms(elem: LoopElement) -> np.ndarray:

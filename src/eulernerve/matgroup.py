@@ -27,12 +27,27 @@ on the last axis.  ``so4_pairs`` and ``so4_matrices`` convert, and
 ``pair_product`` and ``pair_power`` multiply and take the principal power
 g^s = exp(s log g) without leaving the pairs (the power of a unit quaternion,
 Shoemake, SIGGRAPH 1985).
+
+Sampling has one transform from Gaussian matrices per kind of draw, written
+for stacks (..., n, n): ``haar_from_gaussian`` (Haar points of SO(n)) and
+``skew_from_gaussian`` (skew matrices of a given spectral norm); a lone
+(n, n) matrix is a stack with no batch axes.  ``sample_haar``,
+``random_skew``, ``random_frame`` and ``loopcocycle.random_loop`` apply them
+to one draw.  ``sample_blocks`` draws samples of Haar points and unit frames
+with one ``standard_normal`` call and one stack per transform, and
+``iter_samples`` streams a check's run through it ``SAMPLE_CHUNK`` samples
+per draw, so the draw's memory does not grow with the sample count.  Every
+matrix keeps the bits of the lone draws: ``Generator.standard_normal`` fills
+in C order, so one draw holds the numbers of the same run of (n, n) draws;
+numpy's ``qr``, ``det`` and ``svd`` call LAPACK once per matrix of a stack;
+and the sign fixes and rescales are elementwise.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence
+from dataclasses import dataclass, replace
+from itertools import islice
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -274,36 +289,52 @@ def bracket(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 # sampling
 
 
-def random_skew(n: int, rng: np.random.Generator, norm: float = 1.0) -> np.ndarray:
-    """Random skew matrix rescaled to spectral norm ``norm``.
+def skew_from_gaussian(z: np.ndarray, norm: float = 1.0) -> np.ndarray:
+    """The skew parts of Gaussian matrices (..., n, n), each rescaled to
+    spectral norm ``norm``; a zero matrix stays unscaled.
 
     The spectral norm is the largest singular value, read from ``svd``
     directly: the same bits as ``np.linalg.norm(s, 2)`` without its axis
     handling.
     """
-    s = skew_project(rng.standard_normal((n, n)))
-    cur = np.linalg.svd(s, compute_uv=False)[0]
-    if cur > 0:
-        s = s * (norm / cur)
+    # skew_project's arithmetic, in place and without its input conversion
+    s = z - z.swapaxes(-1, -2)
+    s *= 0.5
+    cur = np.linalg.svd(s, compute_uv=False)
+    # where cur is 0 it stays 0, and so does the zero matrix it scales
+    cur = cur[..., :1, None]
+    np.divide(norm, cur, out=cur, where=cur > 0)
+    s *= cur
     return s
 
 
-def sample_haar(n: int, rng: np.random.Generator) -> np.ndarray:
-    """Haar-distributed element of SO(n).
+def haar_from_gaussian(z: np.ndarray) -> np.ndarray:
+    """Haar-distributed elements of SO(n) from Gaussian matrices (..., n, n).
 
-    QR of a Gaussian matrix with the R-diagonal sign fix gives Haar measure on
-    O(n); a final column flip conditions on determinant +1.
+    QR with the R-diagonal sign fix gives Haar measure on O(n); negating the
+    last column where det < 0 conditions on determinant +1 (Mezzadri,
+    Notices AMS 54, 2007).
     """
+    n = z.shape[-1]
     if n < 2 or n % 2 != 0:
         raise ValueError("n must be even and >= 2")
-    z = rng.standard_normal((n, n))
     q, r = np.linalg.qr(z)
-    d = np.sign(np.diag(r))
+    d = np.sign(r.diagonal(0, -2, -1))
     d[d == 0] = 1.0
-    q = q * d
-    if np.linalg.det(q) < 0:
-        q[:, -1] = -q[:, -1]
+    q *= d[..., None, :]
+    # on a lone matrix det < 0 is a 0-d mask: the column or nothing
+    q[np.linalg.det(q) < 0, :, -1] *= -1.0
     return q
+
+
+def random_skew(n: int, rng: np.random.Generator, norm: float = 1.0) -> np.ndarray:
+    """Random skew matrix of spectral norm ``norm``."""
+    return skew_from_gaussian(rng.standard_normal((n, n)), norm)
+
+
+def sample_haar(n: int, rng: np.random.Generator) -> np.ndarray:
+    """Haar-distributed element of SO(n)."""
+    return haar_from_gaussian(rng.standard_normal((n, n)))
 
 
 def sample_near_identity(n: int, radius: float, rng: np.random.Generator) -> np.ndarray:
@@ -405,4 +436,66 @@ def frame_bracket(v: TangentFrame, w: TangentFrame) -> TangentFrame:
 
 
 def random_frame(level: int, n: int, rng: np.random.Generator) -> TangentFrame:
-    return TangentFrame(n=n, components=tuple(random_skew(n, rng) for _ in range(level)))
+    """A frame of ``level`` unit-norm components, from one Gaussian draw."""
+    return TangentFrame(
+        n=n, components=tuple(skew_from_gaussian(rng.standard_normal((level, n, n))))
+    )
+
+
+# samples per Gaussian draw in ``iter_samples``: bounds what a draw holds
+# (about 50 KB per sample of verify-euler at n = 6, with its transients)
+SAMPLE_CHUNK = 16
+
+
+def sample_blocks(
+    n: int, blocks: Sequence[tuple[int, int]], samples: int, rng: np.random.Generator
+) -> list[tuple[NervePoint, tuple[TangentFrame, ...]]]:
+    """``samples`` draws of a Haar point and unit frames for each (level,
+    degree) block, from one Gaussian draw.
+
+    Per sample and per block, the stream gives the point's ``level``
+    components, then ``degree`` frames of ``level`` components: the order of
+
+        for _ in range(samples):
+            for level, degree in blocks:
+                [sample_haar(n, rng) for _ in range(level)]
+                [random_frame(level, n, rng) for _ in range(degree)]
+
+    and each matrix is bit-identical to that loop's.  Returns (point, frames)
+    per block; each component is a contiguous (samples, n, n) stack.
+    """
+    sizes = [level * (1 + degree) for level, degree in blocks]
+    z = rng.standard_normal((samples, sum(sizes), n, n))
+    is_haar = np.concatenate([np.arange(size) < level for size, (level, _) in zip(sizes, blocks)])
+    # component-major copies: every component's stack of samples is contiguous
+    hs = iter(np.ascontiguousarray(haar_from_gaussian(z[:, is_haar]).swapaxes(0, 1)))
+    xs = iter(np.ascontiguousarray(skew_from_gaussian(z[:, ~is_haar]).swapaxes(0, 1)))
+    return [
+        (NervePoint(n=n, components=tuple(islice(hs, level))),
+         tuple(TangentFrame(n=n, components=tuple(islice(xs, level))) for _ in range(degree)))
+        for level, degree in blocks
+    ]
+
+
+def iter_samples(
+    n: int, blocks: Sequence[tuple[int, int]], samples: int, rng: np.random.Generator
+) -> Iterator[list[tuple[NervePoint, tuple[TangentFrame, ...]]]]:
+    """The samples of ``sample_blocks(n, blocks, samples, rng)`` one at a
+    time: per sample, one (point, frames) per block.
+
+    The run is drawn ``SAMPLE_CHUNK`` samples per ``sample_blocks`` call.
+    The stream is read sample after sample, so every matrix and the stream
+    position after the run are those of one draw, while the memory the draw
+    holds stays bounded however many samples are asked for.
+    """
+    for start in range(0, samples, SAMPLE_CHUNK):
+        size = min(SAMPLE_CHUNK, samples - start)
+        draws = sample_blocks(n, blocks, size, rng)
+        for i in range(size):
+            yield [(_take_sample(point, i), tuple(_take_sample(v, i) for v in frames))
+                   for point, frames in draws]
+
+
+def _take_sample(x: NervePoint | TangentFrame, i: int) -> NervePoint | TangentFrame:
+    """Sample i of a point or frame whose components stack samples first."""
+    return replace(x, components=tuple(c[i] for c in x.components))

@@ -21,14 +21,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .forms import EXTERIOR_STEP, FormEvaluator, exterior_derivative, scale_form
-from .matgroup import (
-    NervePoint,
-    TangentFrame,
-    adjoint,
-    nerve_point,
-    random_frame,
-    sample_haar,
-)
+from .matgroup import NervePoint, TangentFrame, adjoint, iter_samples
 
 
 def face_point(i: int, q: int, p: NervePoint) -> NervePoint:
@@ -128,9 +121,12 @@ def verify_total_cocycle(
     evaluated separately on shared sample points.  Returns, per (R, S), one
     ``{source bidegree: contribution}`` per sample; their sum is the
     residual, and a sign-flip audit reweights the sources.
+
+    The samples are drawn in stacks, one (R, S) block per image bidegree in
+    sorted order (``iter_samples``), and the contributions are evaluated
+    sample by sample.
     """
     comps = cochain.components
-    n = cochain.n
     images = {(r + 1, s) for r, s in comps} | {(r, s + 1) for r, s in comps}
     # contributions[(R, S)] = list of (source bidegree, evaluator)
     contributions: dict[tuple[int, int], list[tuple[tuple[int, int], FormEvaluator]]] = {}
@@ -145,9 +141,7 @@ def verify_total_cocycle(
     values: dict[tuple[int, int], list[dict[tuple[int, int], float]]] = {
         bd: [] for bd in contributions
     }
-    for _ in range(samples):
-        for (R, S), parts in contributions.items():
-            point = nerve_point([sample_haar(n, rng) for _ in range(R)], n=n)
-            frames = tuple(random_frame(R, n, rng) for _ in range(S))
-            values[(R, S)].append({src: ev.fn(point, frames) for src, ev in parts})
+    for draws in iter_samples(cochain.n, list(contributions), samples, rng):
+        for (bd, parts), (point, frames) in zip(contributions.items(), draws):
+            values[bd].append({src: ev.fn(point, frames) for src, ev in parts})
     return values

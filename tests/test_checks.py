@@ -263,3 +263,28 @@ def test_word_sum_calls_per_certificate(argv, calls, monkeypatch):
     (entry,) = SUITES[argv[0]]
     run_entry(entry, argv, np.random.default_rng(0))
     assert count[0] == calls
+
+
+LAPACK_CALLS = [
+    (["verify-euler", "--n", "6", "--samples", "4"], 1, 1),
+    (["verify-generator", "--p", "3", "--samples", "10"], 6, 6),
+]
+
+
+@pytest.mark.parametrize("argv, qr, svd", LAPACK_CALLS,
+                         ids=[argv_id(argv) for argv, _, _ in LAPACK_CALLS])
+def test_qr_and_svd_calls_per_certificate(argv, qr, svd, monkeypatch):
+    # the same certificates: verify-euler draws its 4 samples in one QR and
+    # one SVD stack (a run fits one draw up to SAMPLE_CHUNK samples),
+    # verify-generator one of each per component; lone draws per matrix
+    # would make 40 and 160, and 100 and 300
+    counts = dict.fromkeys(("qr", "svd"), 0)
+    for name in counts:
+        def counted(*args, _call=getattr(np.linalg, name), _name=name, **kwargs):
+            counts[_name] += 1
+            return _call(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    (entry,) = SUITES[argv[0]]
+    run_entry(entry, argv, np.random.default_rng(0))
+    assert counts == {"qr": qr, "svd": svd}

@@ -151,3 +151,30 @@ def test_suites_run_without_scipy():
                           check=True)
     result = json.loads(proc.stdout.splitlines()[-1])
     assert result == {"codes": [0] * len(NO_SCIPY_RUNS), "scipy": []}
+
+
+BACK_TO_BACK = [
+    ["verify-euler", "--n", "2", "--samples", "3", "--seed", "4"],
+    ["structure-tests", "--n", "2", "--samples", "1", "--seed", "5"],
+]
+
+
+def test_main_runs_suites_back_to_back(tmp_path):
+    # main builds its parser once per process; two suites run one after the
+    # other in one process report what each reports in a process of its own
+    def comparable(report):
+        return {k: v for k, v in report.items() if k != "wall_time_s"}
+
+    in_process = [comparable(run_report(argv, tmp_path / f"in-{k}.json")[1])
+                  for k, argv in enumerate(BACK_TO_BACK)]
+    src = str(Path(eulernerve.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    for k, argv in enumerate(BACK_TO_BACK):
+        path = tmp_path / f"own-{k}.json"
+        subprocess.run([sys.executable, "-m", "eulernerve.cli", *argv, "--out", str(path)],
+                       env=env, capture_output=True, timeout=120, check=True)
+        with open(path) as fh:
+            assert comparable(json.load(fh)) == in_process[k]
+    assert [r["subcommand"] for r in in_process] == [argv[0] for argv in BACK_TO_BACK]
+    assert all(r["checks"] for r in in_process)

@@ -1,4 +1,5 @@
 import itertools
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ from hypothesis import given, strategies as st
 from scipy.linalg import expm
 from test_checks import run_entry
 
-from eulernerve.checks import _matrix_form, _stacked, maurer_cartan
+from eulernerve.checks import _matrix_form, maurer_cartan
 from eulernerve.euler import builtin_cocycle, euler_component
 from eulernerve.forms import (
     EXTERIOR_STEP,
@@ -42,6 +43,12 @@ from eulernerve.matgroup import (
 )
 from eulernerve.nerve import d_prime
 from eulernerve.transgression import transgression_form
+
+
+def _stacked(xs):
+    """One point (or frame) whose components stack those of ``xs``: lone
+    draws in a batch, to compare a stacked call with the lone calls."""
+    return replace(xs[0], components=tuple(np.stack(c) for c in zip(*(x.components for x in xs))))
 
 
 # ---------------------------------------------------------------------------

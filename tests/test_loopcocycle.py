@@ -98,6 +98,17 @@ def test_pairing_dimension_check():
 # the cocycle
 
 
+def test_random_loop_equals_lone_random_skew():
+    # c0, the cos and then the sin coefficients from one draw, matrix for
+    # matrix what lone draws in that order give
+    a, b = np.random.default_rng(4), np.random.default_rng(4)
+    xi = random_loop(4, 3, a, norm=0.8)
+    lone = [random_skew(4, b, norm=0.8) for _ in range(7)]
+    assert np.array_equal(xi.c0, lone[0])
+    assert len(xi.cos_coeffs) == len(xi.sin_coeffs) == 3
+    assert all(map(np.array_equal, xi.cos_coeffs + xi.sin_coeffs, lone[1:]))
+
+
 def test_alpha_vanishes_on_equal_arguments(rng):
     xi = random_loop(4, 2, rng)
     assert abs(loop_cocycle(xi, xi)) < 1e-15

@@ -1,13 +1,19 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 from scipy.linalg import expm
 
+from eulernerve import matgroup
+from eulernerve.euler import builtin_cocycle
 from eulernerve.matgroup import (
+    SAMPLE_CHUNK,
     DomainError,
     adjoint,
     bracket,
     exp_alg,
+    iter_samples,
     log_grp,
     move_point,
     nerve_point,
@@ -15,8 +21,10 @@ from eulernerve.matgroup import (
     pair_product,
     random_frame,
     random_skew,
+    sample_blocks,
     sample_haar,
     sample_near_identity,
+    skew_from_gaussian,
     skew_project,
     so4_matrices,
     so4_pairs,
@@ -522,6 +530,135 @@ def test_haar_mean_trace_vanishes():
     rng = np.random.default_rng(2024)
     total = sum(np.trace(sample_haar(4, rng)) for _ in range(10_000))
     assert abs(total / 10_000) < 0.05
+
+
+def haar_reference(n, rng):
+    # QR of one Gaussian matrix, the sign fix on R's diagonal, then the last
+    # column negated if det < 0, one matrix at a time
+    q, r = np.linalg.qr(rng.standard_normal((n, n)))
+    d = np.sign(np.diag(r))
+    d[d == 0] = 1.0
+    q = q * d
+    if np.linalg.det(q) < 0:
+        q[:, -1] = -q[:, -1]
+    return q
+
+
+@pytest.mark.parametrize("n", [2, 4, 6])
+def test_sample_haar_equals_reference(n):
+    a, b = np.random.default_rng(8), np.random.default_rng(8)
+    for _ in range(20):
+        assert np.array_equal(sample_haar(n, a), haar_reference(n, b))
+
+
+def skew_reference(n, rng, norm=1.0):
+    # the skew part of one Gaussian matrix, rescaled by its largest singular
+    # value unless that is 0, one matrix at a time
+    s = skew_project(rng.standard_normal((n, n)))
+    cur = np.linalg.svd(s, compute_uv=False)[0]
+    if cur > 0:
+        s = s * (norm / cur)
+    return s
+
+
+@pytest.mark.parametrize("n", [2, 4, 6])
+def test_random_skew_equals_reference(n):
+    a, b = np.random.default_rng(8), np.random.default_rng(8)
+    for norm in (1.0, 2.5) * 10:
+        assert np.array_equal(random_skew(n, a, norm=norm), skew_reference(n, b, norm=norm))
+
+
+def test_random_frame_equals_lone_random_skew():
+    a, b = np.random.default_rng(9), np.random.default_rng(9)
+    for level in (0, 1, 3):
+        frame = random_frame(level, 6, a)
+        lone = [random_skew(6, b) for _ in range(level)]
+        assert len(frame.components) == level
+        assert all(np.array_equal(x, y) for x, y in zip(frame.components, lone))
+
+
+def euler_blocks(n):
+    # verify-euler's blocks: the image bidegrees of the built-in cochain
+    comps = builtin_cocycle(n).components
+    return sorted({(r + 1, s) for r, s in comps} | {(r, s + 1) for r, s in comps})
+
+
+SAMPLE_BLOCKS = {
+    "euler-2": (2, euler_blocks(2)),
+    "euler-4": (4, euler_blocks(4)),
+    "euler-6": (6, euler_blocks(6)),
+    "degree-0-block": (4, [(3, 0), (2, 2)]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SAMPLE_BLOCKS))
+def test_sample_blocks_equal_lone_draws(case):
+    # one Gaussian draw for the whole run gives, matrix for matrix, what the
+    # lone draws give one sample and one block after another
+    n, blocks = SAMPLE_BLOCKS[case]
+    samples = 3
+    a, b = np.random.default_rng(10), np.random.default_rng(10)
+    drawn = sample_blocks(n, blocks, samples, a)
+    assert len(drawn) == len(blocks)
+    for i in range(samples):
+        for (point, frames), (level, degree) in zip(drawn, blocks):
+            lone_point = [sample_haar(n, b) for _ in range(level)]
+            lone_frames = [random_frame(level, n, b) for _ in range(degree)]
+            assert point.level == level and len(frames) == degree
+            for h, lone in zip(point.components, lone_point):
+                assert h.shape == (samples, n, n)
+                assert np.array_equal(h[i], lone)
+            for v, lone in zip(frames, lone_frames):
+                assert v.level == level
+                for x, y in zip(v.components, lone.components):
+                    assert x.shape == (samples, n, n)
+                    assert np.array_equal(x[i], y)
+    # both generators stand at the same place in the stream
+    assert a.standard_normal() == b.standard_normal()
+
+
+def test_iter_samples_streams_one_draw_in_bounded_chunks(monkeypatch):
+    # a run of more than two chunks yields, sample for sample, the matrices
+    # of one whole-run draw, and no draw holds more than SAMPLE_CHUNK samples
+    n, blocks = SAMPLE_BLOCKS["euler-4"]
+    samples = 2 * SAMPLE_CHUNK + 3
+    a, b = np.random.default_rng(12), np.random.default_rng(12)
+    whole = sample_blocks(n, blocks, samples, b)
+    sizes = []
+
+    def recording(n, blocks, size, rng):
+        sizes.append(size)
+        return sample_blocks(n, blocks, size, rng)
+
+    monkeypatch.setattr(matgroup, "sample_blocks", recording)
+    streamed = list(iter_samples(n, blocks, samples, a))
+    assert sizes == [SAMPLE_CHUNK, SAMPLE_CHUNK, 3]
+    assert len(streamed) == samples
+    for i, draws in enumerate(streamed):
+        assert len(draws) == len(blocks)
+        for (point, frames), (w_point, w_frames) in zip(draws, whole):
+            assert len(frames) == len(w_frames)
+            for x, w in zip((point, *frames), (w_point, *w_frames)):
+                assert len(x.components) == len(w.components)
+                for c, wc in zip(x.components, w.components):
+                    assert c.shape == (n, n)
+                    assert np.array_equal(c, wc[i])
+    assert a.standard_normal() == b.standard_normal()
+
+
+def test_skew_from_gaussian_leaves_a_zero_matrix_unscaled():
+    z = np.random.default_rng(11).standard_normal((3, 4, 4))
+    z[1] = 0.0
+    z[1, 0, 1] = -0.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        s = skew_from_gaussian(z, norm=2.0)
+    assert np.array_equal(s[1], skew_project(z[1]))
+    assert np.array_equal(np.signbit(s[1]), np.signbit(skew_project(z[1])))
+    for k in (0, 2):
+        assert np.array_equal(s[k], skew_from_gaussian(z[k], norm=2.0))
+        assert abs(np.linalg.norm(s[k], 2) - 2.0) < 1e-14
+    assert np.array_equal(skew_from_gaussian(np.zeros((4, 4))), np.zeros((4, 4)))
 
 
 def test_near_identity_radius_zero(rng):

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy.linalg import expm
@@ -16,9 +18,9 @@ from eulernerve.forms import (
     word_sum_form,
 )
 from eulernerve.matgroup import (
+    iter_samples,
     nerve_point,
     random_frame,
-    random_skew,
     sample_haar,
     skew_project,
     tangent_frame,
@@ -192,8 +194,13 @@ def test_verify_detects_perturbation(rng, monkeypatch):
     )
     # frames of norm 2.5, from the same draws as at norm 1: at norm 1 the
     # tampered residual reads only about 1.6e-4
-    monkeypatch.setattr(nerve, "random_frame", lambda level, n, rng: tangent_frame(
-        [random_skew(n, rng, norm=2.5) for _ in range(level)], n=n))
+    def sample_at_norm_2_5(n, blocks, samples, rng):
+        for draws in iter_samples(n, blocks, samples, rng):
+            yield [(point, tuple(replace(v, components=tuple(2.5 * x for x in v.components))
+                                 for v in frames))
+                   for point, frames in draws]
+
+    monkeypatch.setattr(nerve, "iter_samples", sample_at_norm_2_5)
     argv = ["verify-euler", "--n", "4", "--samples", "5", "--tol", "1e-5"]
 
     def run(cochain, rng):

@@ -10,31 +10,11 @@ domain errors and on a report that cannot be written.
 
 from __future__ import annotations
 
-import ctypes
-import os
-import sys
-
-# The matrices are 2 x 2 to 6 x 6, where extra BLAS threads only add
-# overhead; the pool size is read when numpy is first imported.
-for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "BLIS_NUM_THREADS"):
-    os.environ.setdefault(_var, "1")
-
-# A suite allocates and frees stacks of 0.1 to a few MB many times.  glibc
-# raises its mmap and trim thresholds only as far as the largest array freed
-# so far, and returns the heap above them to the system, to fault it in again
-# on the next call: 5k to 110k minor page faults per benchmark certificate,
-# and a speed that hangs on the size of the largest array.  Fixed thresholds
-# keep that memory in the heap.
-if sys.platform.startswith("linux"):
-    _mallopt = getattr(ctypes.CDLL(None), "mallopt", None)
-    if _mallopt is not None:
-        _M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
-        _mallopt(_M_MMAP_THRESHOLD, 16 << 20)
-        _mallopt(_M_TRIM_THRESHOLD, 32 << 20)
-
 import argparse
 import json
 import math
+import os
+import sys
 import time
 from dataclasses import dataclass, field
 from functools import cache
@@ -43,7 +23,6 @@ import numpy as np
 
 from . import __version__
 from .checks import SUITES, Check
-from .euler import MIN_CLUTCHING_STEPS
 from .matgroup import DomainError
 
 SCHEMA_VERSION = 1
@@ -81,17 +60,6 @@ def _positive(kind):
 
     # argparse names the type function in "invalid <name> value: ..."
     parse.__name__ = kind.__name__
-    return parse
-
-
-def _int_at_least(low):
-    def parse(text):
-        value = int(text)
-        if value < low:
-            raise argparse.ArgumentTypeError(f"expected an integer >= {low}, got {text}")
-        return value
-
-    parse.__name__ = "int"
     return parse
 
 
@@ -133,7 +101,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("euler-number", help="clutching-loop winding integrals on SO(2)")
     p.add_argument("--winding", type=int, default=2)
-    p.add_argument("--steps", type=_int_at_least(MIN_CLUTCHING_STEPS), default=256)
     common(p, tol=1e-10)
 
     p = sub.add_parser("transgress", help="truncated-cocycle check of the local cochain")

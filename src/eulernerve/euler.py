@@ -213,24 +213,24 @@ def builtin_cocycle(n: int):
 # clutching-loop Euler number (SO(2))
 
 
-MIN_CLUTCHING_STEPS = 64
+# E_{1,1} is one lmc(1) word, so the integrand reads only the constant
+# left-trivialized derivative 2 pi k J and the step count moves only rounding
+CLUTCHING_STEPS = 256
 
 
-def clutching_euler_number(k: int, steps: int = 256) -> float:
+def clutching_euler_number(k: int) -> float:
     """Integrate the level-1 SO(2) component along theta -> R(2 pi k theta).
 
     The pullback of the normalized angle form along a winding-k clutching
     loop integrates to the Euler number k of the associated rank-2 bundle
     over S^2.  One call evaluates the component on every step.
     """
-    if steps < MIN_CLUTCHING_STEPS:
-        raise ValueError(f"steps must be >= {MIN_CLUTCHING_STEPS}")
     e11 = builtin_cocycle(2).components[(1, 1)]
-    ang = 2.0 * np.pi * k * ((np.arange(steps) + 0.5) / steps)
+    ang = 2.0 * np.pi * k * ((np.arange(CLUTCHING_STEPS) + 0.5) / CLUTCHING_STEPS)
     h = np.stack([np.cos(ang), -np.sin(ang), np.sin(ang), np.cos(ang)], -1).reshape(-1, 2, 2)
     # left-trivialized loop derivative: h^{-1} h' = 2 pi k J
     xi = 2.0 * np.pi * k * np.array([[0.0, -1.0], [1.0, 0.0]])
-    return ordered_sum(e11.fn(nerve_point([h]), (tangent_frame([xi]),)) / steps)
+    return ordered_sum(e11.fn(nerve_point([h]), (tangent_frame([xi]),)) / CLUTCHING_STEPS)
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,14 @@ value is recovered by antisymmetrized mixed partials of functionals obtained
 by contracting the level-1 and level-2 Euler components over loop-group paths
 exp(y xi(theta)).
 
+The loop bracket is pointwise, [xi, eta](theta) = [xi(theta), eta(theta)]
+(Pressley and Segal, Loop Groups, 4.2), so ``cocycle_residual`` brackets its
+loops on a theta grid and differentiates by the Leibniz rule.  Its gate sees
+a wrong loop derivative or too coarse a grid, but not the [x, y'] term: with
+S = sum_cyc int pf(x_i', [x_j, x_k]) = int d/dtheta pf(x_1, [x_2, x_3]) = 0,
+ad-invariance makes the residual's halves 2S and S whatever weight [x, y']
+gets.  A unit test against the Fourier product-to-sum bracket pins it.
+
 Normalization note: the loop functionals evaluate the level-2 component in
 the normalized-alternation convention on the single canonical word, which is
 1/4 of the shuffle-convention pair form used by the cocycle verification
@@ -22,13 +30,13 @@ functional analogously carries 1/6.  The relation is pinned by a unit test.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Callable
 
 import numpy as np
 
 from .euler import builtin_cocycle
 from .matgroup import (
+    bracket,
     exp_alg,
     nerve_point,
     skew_from_gaussian,
@@ -62,10 +70,6 @@ class LoopElement:
     @property
     def max_frequency(self) -> int:
         return len(self.cos_coeffs)
-
-    @property
-    def n(self) -> int:
-        return self.c0.shape[0]
 
     def values(self, thetas: np.ndarray) -> np.ndarray:
         """xi at every theta of a 1-d grid: the (nodes, n, n) stack."""
@@ -104,83 +108,6 @@ def random_loop(
     return LoopElement(c[0], tuple(c[1 : max_freq + 1]), tuple(c[max_freq + 1 :]))
 
 
-def _terms(elem: LoopElement) -> np.ndarray:
-    """The coefficient stack c0, a_1, b_1, a_2, b_2, ...: (2K + 1, n, n)."""
-    mats = [elem.c0]
-    for a, b in zip(elem.cos_coeffs, elem.sin_coeffs):
-        mats += [a, b]
-    return np.stack(mats)
-
-
-@lru_cache(maxsize=None)
-def _bracket_plan(kx: int, ky: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Where each commutator of a term of x and a term of y goes.
-
-    Terms and output slots share the layout of ``_terms``: slot 0 is the
-    constant, 2f - 1 the cos and 2f the sin coefficient of frequency f.
-    Returns (commutator index, output slot, factor) per contribution, in the
-    order (term of x, term of y, then the pair's two product-to-sum terms);
-    sin(0) contributions are dropped.
-    """
-    def term(index: int) -> tuple[int, str]:
-        return (index + 1) // 2, "s" if index > 0 and index % 2 == 0 else "c"
-
-    ny = 2 * ky + 1
-    src, slots, factors = [], [], []
-
-    def add(i: int, freq: int, kind: str, factor: float) -> None:
-        if freq == 0:
-            if kind == "s":
-                return  # sin(0) == 0
-            slot = 0
-        else:
-            slot = 2 * freq - 1 if kind == "c" else 2 * freq
-        src.append(i)
-        slots.append(slot)
-        factors.append(factor)
-
-    for ia in range(2 * kx + 1):
-        ka, kind_a = term(ia)
-        for ib in range(ny):
-            kb, kind_b = term(ib)
-            i = ia * ny + ib
-            s, d = ka + kb, ka - kb
-            sign = 1.0 if d >= 0 else -1.0
-            if kind_a == "c" and kind_b == "c":
-                # cos cos = (cos(d) + cos(s)) / 2
-                add(i, abs(d), "c", 0.5)
-                add(i, s, "c", 0.5)
-            elif kind_a == "s" and kind_b == "s":
-                # sin sin = (cos(d) - cos(s)) / 2
-                add(i, abs(d), "c", 0.5)
-                add(i, s, "c", -0.5)
-            elif kind_a == "s" and kind_b == "c":
-                # sin cos = (sin(s) + sin(d)) / 2
-                add(i, s, "s", 0.5)
-                add(i, abs(d), "s", sign * 0.5)
-            else:
-                # cos sin = (sin(s) - sin(d)) / 2
-                add(i, s, "s", 0.5)
-                add(i, abs(d), "s", -sign * 0.5)
-    return np.array(src), np.array(slots), np.array(factors)
-
-
-def loop_bracket(x: LoopElement, y: LoopElement) -> LoopElement:
-    """Pointwise bracket, computed exactly on Fourier coefficients via
-    product-to-sum identities.
-
-    All commutators are one stacked matmul; each output coefficient sums its
-    contributions one at a time, in the plan's order (``np.add.at``).
-    """
-    a, b = _terms(x)[:, None], _terms(y)[None, :]
-    n = x.n
-    com = (a @ b - b @ a).reshape(-1, n, n)
-    src, slots, factors = _bracket_plan(x.max_frequency, y.max_frequency)
-    out = np.zeros((2 * (x.max_frequency + y.max_frequency) + 1, n, n))
-    np.add.at(out, slots, factors[:, None, None] * com[src])
-    return LoopElement(out[0], tuple(out[1::2]), tuple(out[2::2]))
-
-
 # ---------------------------------------------------------------------------
 # the cocycle
 
@@ -216,36 +143,51 @@ def pf_pairing(x: np.ndarray, y: np.ndarray) -> float | np.ndarray:
     return float(pf) if pf.ndim == 0 else pf
 
 
-def _trapezoid_nodes(xi1: LoopElement, xi2: LoopElement) -> int:
-    """Default trapezoid nodes on [0, 1) for pairing xi1' (or xi2') with the
-    other loop: more than their summed frequencies, so the rule is exact."""
-    return 4 * (xi1.max_frequency + xi2.max_frequency) + 8
+def _trapezoid_nodes(*loops: LoopElement) -> int:
+    """Trapezoid nodes on [0, 1) above the loops' summed frequencies, so the
+    rule is exact for any product of them and their derivatives."""
+    return 4 * sum(xi.max_frequency for xi in loops) + 8
 
 
 def _theta_grid(nodes: int) -> np.ndarray:
     return np.arange(nodes) / nodes
 
 
-def loop_cocycle(xi1: LoopElement, xi2: LoopElement) -> float:
-    """alpha(xi1, xi2); trapezoid quadrature exact for trig polynomials.
+def _sampled(xi: LoopElement, theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """xi and xi' on the grid theta: the (values, derivative values) pair."""
+    return xi.values(theta), xi.derivative().values(theta)
 
-    Both pairings are evaluated on the whole theta grid at once, and
-    ``ordered_sum`` adds p - q node by node in theta order.
-    """
-    nodes = _trapezoid_nodes(xi1, xi2)
-    theta = _theta_grid(nodes)
-    p = pf_pairing(xi1.derivative().values(theta), xi2.values(theta))
-    q = pf_pairing(xi2.derivative().values(theta), xi1.values(theta))
-    integral = ordered_sum(np.stack([p, -q], -1)) / nodes
+
+def loop_bracket(x, y) -> tuple[np.ndarray, np.ndarray]:
+    """[x, y] of two (values, derivative values) pairs on one grid: pointwise,
+    with the Leibniz derivative [x, y]' = [x', y] + [x, y']."""
+    (xv, xd), (yv, yd) = x, y
+    return bracket(xv, yv), bracket(xd, yv) + bracket(xv, yd)
+
+
+def _grid_alpha(xi1, xi2) -> float:
+    """alpha of two (values, derivative values) pairs on the trapezoid grid;
+    ``ordered_sum`` adds p - q node by node in theta order."""
+    (v1, d1), (v2, d2) = xi1, xi2
+    integral = ordered_sum(np.stack([pf_pairing(d1, v2), -pf_pairing(d2, v1)], -1)) / len(v1)
     return -integral / (128.0 * np.pi**2)
 
 
+def loop_cocycle(xi1: LoopElement, xi2: LoopElement) -> float:
+    """alpha(xi1, xi2); trapezoid quadrature exact for trig polynomials."""
+    theta = _theta_grid(_trapezoid_nodes(xi1, xi2))
+    return _grid_alpha(_sampled(xi1, theta), _sampled(xi2, theta))
+
+
 def cocycle_residual(x1: LoopElement, x2: LoopElement, x3: LoopElement) -> float:
-    """Cyclic sum alpha([x1,x2], x3) + alpha([x2,x3], x1) + alpha([x3,x1], x2)."""
+    """Cyclic sum alpha([x1,x2], x3) + alpha([x2,x3], x1) + alpha([x3,x1], x2),
+    from the three loops sampled once on a grid exact for every integrand."""
+    theta = _theta_grid(_trapezoid_nodes(x1, x2, x3))
+    s1, s2, s3 = (_sampled(x, theta) for x in (x1, x2, x3))
     return (
-        loop_cocycle(loop_bracket(x1, x2), x3)
-        + loop_cocycle(loop_bracket(x2, x3), x1)
-        + loop_cocycle(loop_bracket(x3, x1), x2)
+        _grid_alpha(loop_bracket(s1, s2), s3)
+        + _grid_alpha(loop_bracket(s2, s3), s1)
+        + _grid_alpha(loop_bracket(s3, s1), s2)
     )
 
 

@@ -201,11 +201,6 @@ def test_clutching_winding(k, rng):
         f"winding {k}"].passed
 
 
-def test_clutching_requires_min_steps():
-    with pytest.raises(ValueError):
-        clutching_euler_number(1, steps=32)
-
-
 # ---------------------------------------------------------------------------
 # bundle projection pullback
 

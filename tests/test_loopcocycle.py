@@ -10,6 +10,7 @@ from eulernerve.loopcocycle import (
     LEVEL1_LOOP_SCALE,
     LEVEL2_LOOP_SCALE,
     TANGENT_STEP,
+    LoopElement,
     antisymmetrized_mixed_partial,
     closed_form_mixed_partial,
     cocycle_residual,
@@ -156,12 +157,41 @@ def test_cocycle_residual_random_triples(rng):
     assert run_entry(loop_cocycle_residual, LOOP, rng)["cocycle residual"].passed
 
 
+LOOP_DERIVATIVE = LoopElement.derivative
+
+
+def flipped_sin_derivative(xi):
+    d = LOOP_DERIVATIVE(xi)
+    return LoopElement(d.c0, d.cos_coeffs, tuple(-b for b in d.sin_coeffs))
+
+
+# (owner, name, replacement) of each mutation the residual's gate must catch
+RESIDUAL_MUTATIONS = {
+    "derivative-sin-sign": (LoopElement, "derivative", flipped_sin_derivative),
+    "grid-of-summed-frequencies": (
+        loopcocycle, "_trapezoid_nodes", lambda *loops: sum(xi.max_frequency for xi in loops)),
+}
+
+
+@pytest.mark.parametrize("case", list(RESIDUAL_MUTATIONS))
+def test_cocycle_residual_mutation_fails(case, monkeypatch):
+    # a sign slip in the loop derivative reads about 0.19 and a grid of only
+    # the summed frequencies about 0.1, against the 1e-10 gate
+    monkeypatch.setattr(*RESIDUAL_MUTATIONS[case])
+    check = run_entry(loop_cocycle_residual, LOOP, np.random.default_rng(0))["cocycle residual"]
+    assert check.max_residual > 1e8 * check.tolerance
+
+
 def test_bracket_matches_pointwise(rng):
     x, y = random_loop(4, 2, rng), random_loop(4, 3, rng)
-    br = loop_bracket(x, y)
-    for theta in rng.uniform(0, 1, 10):
-        a, b = value_at(x, theta), value_at(y, theta)
-        assert np.max(np.abs(value_at(br, theta) - (a @ b - b @ a))) < 1e-13
+    theta = rng.uniform(0, 1, 10)
+    br, dbr = loop_bracket(sampled(x, theta), sampled(y, theta))
+    dx, dy = x.derivative(), y.derivative()
+    for i, th in enumerate(theta.tolist()):
+        a, b = value_at(x, th), value_at(y, th)
+        da, db = value_at(dx, th), value_at(dy, th)
+        assert np.max(np.abs(br[i] - (a @ b - b @ a))) < 1e-13
+        assert np.max(np.abs(dbr[i] - (da @ b - b @ da + a @ db - db @ a))) < 1e-12
 
 
 def test_derivative_coefficients():
@@ -374,12 +404,14 @@ def test_phi_of_group_coboundary_is_algebra_differential(rng):
 
 
 # ---------------------------------------------------------------------------
-# the theta-grid evaluation against the per-theta code it replaced
+# the theta-grid evaluation against per-theta oracles
 #
-# The oracle below is the per-node code that loopcocycle ran before loops
-# were evaluated on the whole theta grid: one 4 x 4 value, bracket term and
-# pairing at a time.  The stacked code does the same elementwise operations in
-# the same order, so every pin is ==.
+# ``oracle_value`` and the pairing sums below are the per-node code that
+# loopcocycle ran before loops were evaluated on the whole theta grid: one
+# 4 x 4 value, bracket and pairing at a time.  The stacked code does the same
+# elementwise operations in the same order, so those pins are ==.
+# ``oracle_bracket`` is the independent reference for the pointwise bracket:
+# the exact bracket of Fourier coefficients by product-to-sum identities.
 
 
 def oracle_value(xi, theta):
@@ -392,7 +424,7 @@ def oracle_value(xi, theta):
 
 def oracle_bracket(x, y):
     kout = x.max_frequency + y.max_frequency
-    n = x.n
+    n = x.c0.shape[0]
     c0 = np.zeros((n, n))
     cos_c = [np.zeros((n, n)) for _ in range(kout)]
     sin_c = [np.zeros((n, n)) for _ in range(kout)]
@@ -459,13 +491,24 @@ def oracle_closed_form(xi1, xi2):
 
 
 def oracle_residual(x1, x2, x3):
-    def bracket(x, y):
-        c0, cos_c, sin_c = oracle_bracket(x, y)
-        return loop_element(c0, cos_c, sin_c)
-
-    return (oracle_cocycle(bracket(x1, x2), x3)
-            + oracle_cocycle(bracket(x2, x3), x1)
-            + oracle_cocycle(bracket(x3, x1), x2))
+    """The cyclic sum one node at a time: each loop's value and derivative,
+    the bracket and its Leibniz derivative as 4 x 4 products, the pairings,
+    then the running sum in the residual's order."""
+    nodes = 4 * (x1.max_frequency + x2.max_frequency + x3.max_frequency) + 8
+    total = 0.0
+    for x, y, z in ((x1, x2, x3), (x2, x3, x1), (x3, x1, x2)):
+        s = 0.0
+        for i in range(nodes):
+            theta = i / nodes
+            (xv, xd), (yv, yd), (zv, zd) = (
+                (oracle_value(w, theta), oracle_value(w.derivative(), theta)) for w in (x, y, z)
+            )
+            b = xv @ yv - yv @ xv
+            bd = (xd @ yv - yv @ xd) + (xv @ yd - yd @ xv)
+            s += pf_pairing(bd, zv)
+            s -= pf_pairing(zd, b)
+        total += -(s / nodes) / (128.0 * np.pi**2)
+    return total
 
 
 FREQS = [(kx, ky) for kx in range(4) for ky in range(4)]
@@ -484,17 +527,33 @@ def test_values_equal_per_theta_value(k):
                 assert np.array_equal(value_at(xi, th), oracle_value(xi, th))
 
 
+def sampled(xi, theta):
+    return xi.values(theta), xi.derivative().values(theta)
+
+
+# the grid bracket and the Fourier one round differently: their difference,
+# in units of rounding of the largest entry compared, reads at most 7.1 over
+# these draws, and dropping [x, y'] makes it about 1e15
+BRACKET_ULPS = 16
+
+
 @pytest.mark.parametrize("kx, ky", FREQS)
 def test_bracket_equals_per_term_oracle(kx, ky):
+    # the grid bracket and its Leibniz derivative against the Fourier bracket
+    # and its derivative, at every node of the grid that the residual uses;
+    # the residual's gate cannot see the [x, y'] term (module docstring), so
+    # this test is what pins it
     rng = np.random.default_rng(10 * kx + ky)
     for _ in range(5):
         x, y = random_loop(4, kx, rng), random_loop(4, ky, rng)
-        br = loop_bracket(x, y)
+        theta = np.arange(4 * (kx + ky) + 8) / (4 * (kx + ky) + 8)
         c0, cos_c, sin_c = oracle_bracket(x, y)
-        assert br.max_frequency == kx + ky
-        assert np.array_equal(br.c0, c0)
-        for got, want in zip(br.cos_coeffs + br.sin_coeffs, cos_c + sin_c):
-            assert np.array_equal(got, want)
+        want = sampled(LoopElement(c0, tuple(cos_c), tuple(sin_c)), theta)
+        got = loop_bracket(sampled(x, theta), sampled(y, theta))
+        for g, w in zip(got, want):
+            assert g.shape == w.shape == (len(theta), 4, 4)
+            bound = BRACKET_ULPS * np.finfo(float).eps * max(np.max(np.abs(w)), 1.0)
+            assert np.max(np.abs(g - w)) <= bound
 
 
 @pytest.mark.parametrize("kx, ky", FREQS)
